@@ -3,15 +3,20 @@
 Checks sixteen structural properties (explosion, joint consistency,
 Tarskian axioms, deduction-theorem variants, ...) for the three-valued
 systems and their paraconsistent transforms, producing a 16x6 results grid.
-Every FAILS verdict carries a witness made of replayable claims; every cell
-is compared against the expected published value and mismatches are listed
-with their evidence instead of being silently corrected.
+
+Each row is a checker in ``_CHECKERS`` of one form: given the ``_Cell`` to
+decide, it tries stored-witness probes (``_probe``) first, then the sampling
+loop (``_sampled``) or an exact argument.  A checker returns only its
+``Decision``; ``check_property`` makes the ``Verdict``, and first replays the
+witness of every FAILS.  Every cell is compared against the expected
+published value and mismatches are listed with their evidence instead of
+being silently corrected.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -24,7 +29,6 @@ from .formula import (
     Neg,
     Or,
     draw_formula,
-    letters,
     parse,
     render,
 )
@@ -86,13 +90,6 @@ ROW_LABELS = {
     PropertyId.MODIFIED_WEAK_DT_FWD: "modified weak deduction theorem (=>)",
 }
 
-DT_VARIANTS = (
-    PropertyId.FULL_DT,
-    PropertyId.MODIFIED_FULL_DT,
-    PropertyId.WEAK_DT_FWD,
-    PropertyId.MODIFIED_WEAK_DT_FWD,
-)
-
 
 class Outcome(Enum):
     HOLDS = "HOLDS"
@@ -118,6 +115,9 @@ class AuditBudget:
     def validate(self) -> None:
         if min(self.samples, self.depth, self.letters, self.gamma_size) <= 0:
             raise ValueError("budget components must be positive")
+        if self.gamma_size < 2:
+            # modus ponens samples side premises next to a and a -> b
+            raise ValueError("gamma_size must be at least 2")
 
     @property
     def bounds(self) -> tuple[int, int, int]:
@@ -148,15 +148,24 @@ class Verdict:
         }
 
 
+@dataclass
+class Decision:
+    """A checker's verdict; ``check_property`` adds property, logic and bounds."""
+
+    outcome: Outcome
+    method: Method
+    witness: dict | None = None
+    samples_run: int = 0
+    notes: str = ""
+
+
 def table_columns() -> list[LogicSpec]:
     """The six column logics of the results grid, in grid order."""
-    out = []
-    for name in ("l3", "g3", "k3"):
-        m = builtin(name)
-        out.append(LogicSpec(m, 0))
-        out.append(LogicSpec(m, 1))
-    # grid order interleaves base and transformed per system
-    return [out[0], out[1], out[2], out[3], out[4], out[5]]
+    return [
+        LogicSpec(m, para_depth)
+        for m in map(builtin, ("l3", "g3", "k3"))
+        for para_depth in (0, 1)
+    ]
 
 
 COLUMN_NAMES = ("L3", "P(L3)", "G3", "P(G3)", "K3", "P(K3)")
@@ -204,37 +213,22 @@ def _gamma_strs(gamma: FormulaSet) -> list[str]:
     return [render(f) for f in gamma]
 
 
-def claim_entails(gamma: FormulaSet, alpha: Formula, expected: bool) -> dict:
+def claim_entails(
+    para_depth: int, gamma: FormulaSet, alpha: Formula, expected: bool
+) -> dict:
+    """Claim that `gamma` yields `alpha`, or not, in the base or transformed logic."""
     return {
-        "kind": "entails",
+        "kind": "entails" if para_depth == 0 else "para_entails",
         "gamma": _gamma_strs(gamma),
         "alpha": render(alpha),
         "expected": expected,
     }
 
 
-def claim_para(gamma: FormulaSet, alpha: Formula, expected: bool) -> dict:
+def claim_consistent(para_depth: int, gamma: FormulaSet, expected: bool) -> dict:
+    """Claim that `gamma` is consistent, or not, in the base or transformed logic."""
     return {
-        "kind": "para_entails",
-        "gamma": _gamma_strs(gamma),
-        "alpha": render(alpha),
-        "expected": expected,
-    }
-
-
-def claim_rel(spec: LogicSpec, gamma: FormulaSet, alpha: Formula, expected: bool) -> dict:
-    if spec.para_depth == 0:
-        return claim_entails(gamma, alpha, expected)
-    return claim_para(gamma, alpha, expected)
-
-
-def claim_consistent(gamma: FormulaSet, expected: bool) -> dict:
-    return {"kind": "consistent", "gamma": _gamma_strs(gamma), "expected": expected}
-
-
-def claim_para_consistent(gamma: FormulaSet, expected: bool) -> dict:
-    return {
-        "kind": "para_consistent",
+        "kind": "consistent" if para_depth == 0 else "para_consistent",
         "gamma": _gamma_strs(gamma),
         "expected": expected,
     }
@@ -243,38 +237,32 @@ def claim_para_consistent(gamma: FormulaSet, expected: bool) -> dict:
 def replay_claim(m: Matrix, claim: dict) -> bool:
     """Recompute a claim against the semantics and report whether it matches."""
     kind = claim["kind"]
-    if kind in ("entails", "para_entails", "logic_entails"):
+    if "gamma" in claim:
         gamma = FormulaSet(parse(s) for s in claim["gamma"])
-        alpha = parse(claim["alpha"])
-        if kind == "entails":
-            got = entails(m, gamma, alpha).holds
-        elif kind == "para_entails":
-            got = para_entails(m, gamma, alpha).holds
-        else:
-            got = logic_entails(LogicSpec(m, claim["depth"]), gamma, alpha)
-        return got == claim["expected"]
-    if kind == "consistent":
-        gamma = FormulaSet(parse(s) for s in claim["gamma"])
-        return is_consistent(m, gamma) == claim["expected"]
-    if kind == "para_consistent":
-        gamma = FormulaSet(parse(s) for s in claim["gamma"])
-        return is_para_consistent(m, gamma) == claim["expected"]
-    if kind == "classify":
-        return classify(m, parse(claim["alpha"])).value == claim["expected"]
-    if kind == "consistent_subsets":
-        gamma = FormulaSet(parse(s) for s in claim["gamma"])
+    if kind == "entails":
+        got = entails(m, gamma, parse(claim["alpha"])).holds
+    elif kind == "para_entails":
+        got = para_entails(m, gamma, parse(claim["alpha"])).holds
+    elif kind == "logic_entails":
+        got = logic_entails(LogicSpec(m, claim["depth"]), gamma, parse(claim["alpha"]))
+    elif kind == "consistent":
+        got = is_consistent(m, gamma)
+    elif kind == "para_consistent":
+        got = is_para_consistent(m, gamma)
+    elif kind == "classify":
+        got = classify(m, parse(claim["alpha"])).value
+    elif kind == "consistent_subsets":
         got = [_gamma_strs(s) for s in consistent_subsets(m, gamma)]
-        return got == claim["expected"]
-    if kind == "star_property":
-        return has_star_property(m) == claim["expected"]
-    if kind == "eval":
+    elif kind == "star_property":
+        got = has_star_property(m)
+    elif kind == "eval":
         valuation = {k: parse_value(v) for k, v in claim["valuation"].items()}
-        got = evaluate(m, valuation, parse(claim["formula"]))
-        return format_value(got) == claim["expected"]
-    if kind == "tautology_free":
+        got = format_value(evaluate(m, valuation, parse(claim["formula"])))
+    elif kind == "tautology_free":
         got = tautology_free_check(m, claim["letters"], claim["depth"])
-        return got == claim["expected"]
-    raise ValueError(f"unknown claim kind: {kind!r}")
+    else:
+        raise ValueError(f"unknown claim kind: {kind!r}")
+    return got == claim["expected"]
 
 
 def replay_claims(m: Matrix, claims: Sequence[dict]) -> bool:
@@ -286,26 +274,38 @@ def replay_witness(m: Matrix, witness: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sampling helpers
+# The checker form: stored-witness probes and the sampling loop
 
 P, Q = Letter("p"), Letter("q")
 NOT_SELF_IMP = parse("~(p -> p)")  # unsatisfiable wherever 1 is the sole designated value
 P_AND_NOT_P = parse("p & ~p")
 
 
-def _rng_for(budget: AuditBudget, prop: PropertyId, logic_name: str) -> random.Random:
-    return random.Random(f"{budget.seed}|{prop.value}|{logic_name}")
+@dataclass(frozen=True)
+class _Cell:
+    """One grid cell under audit: a column logic, a row and the budget."""
 
+    spec: LogicSpec
+    prop: PropertyId
+    budget: AuditBudget
 
-def _pool(budget: AuditBudget) -> list[str]:
-    base = ["p", "q", "r", "s", "t"]
-    return base[: min(budget.letters, len(base))]
+    def rel(self, gamma: FormulaSet, alpha: Formula) -> bool:
+        """The column's consequence relation."""
+        if self.spec.para_depth == 0:
+            return entails(self.spec.matrix, gamma, alpha).holds
+        return para_entails(self.spec.matrix, gamma, alpha).holds
 
+    def claim(self, gamma: FormulaSet, alpha: Formula, expected: bool) -> dict:
+        """A replayable claim about the column's consequence relation."""
+        return claim_entails(self.spec.para_depth, gamma, alpha, expected)
 
-def _rel(spec: LogicSpec) -> Callable[[FormulaSet, Formula], bool]:
-    if spec.para_depth == 0:
-        return lambda gamma, alpha: entails(spec.matrix, gamma, alpha).holds
-    return lambda gamma, alpha: para_entails(spec.matrix, gamma, alpha).holds
+    def stream(self) -> random.Random:
+        """The cell's seeded random stream."""
+        return random.Random(f"{self.budget.seed}|{self.prop.value}|{self.spec.name}")
+
+    def letters(self) -> list[str]:
+        """The letters that sampled formulas are drawn over."""
+        return ["p", "q", "r", "s", "t"][: self.budget.letters]
 
 
 def _sample_set(
@@ -315,41 +315,55 @@ def _sample_set(
     return FormulaSet(draw_formula(rng, names, depth) for _ in range(size))
 
 
-def _verdict(
-    prop: PropertyId,
-    spec: LogicSpec,
-    budget: AuditBudget,
-    outcome: Outcome,
-    method: Method,
-    witness: dict | None = None,
-    samples_run: int = 0,
-    notes: str = "",
-) -> Verdict:
-    if outcome is Outcome.FAILS:
-        if witness is None or not replay_witness(spec.matrix, witness):
-            raise AssertionError(
-                f"FAILS verdict for {prop.value}/{spec.name} lacks a replayable witness"
-            )
-    return Verdict(
-        property=prop,
-        logic_name=spec.name,
-        outcome=outcome,
-        method=method,
-        witness=witness,
-        samples_run=samples_run,
-        bounds=budget.bounds,
-        notes=notes,
-    )
+def _probe(cell: _Cell, description: str, claims: list[dict]) -> Decision | None:
+    """FAILS by a stored witness if all of its claims replay, else None."""
+    if replay_claims(cell.spec.matrix, claims):
+        witness = {"description": description, "claims": claims}
+        return Decision(Outcome.FAILS, Method.WITNESS, witness)
+    return None
+
+
+def _sampled(
+    cell: _Cell,
+    description: str,
+    draw: Callable[[random.Random, list[str]], list[dict] | None],
+    probes: Sequence[tuple[str, list[dict]]] = (),
+    count_hits: bool = False,
+) -> Decision:
+    """Stored-witness `probes`, (description, claims) pairs, first; then the
+    row's `draw` step once per sample on the cell's seeded stream.
+
+    `draw` returns None when the sample's antecedent does not hold, [] when
+    the sample agrees with the property, or a counterexample's claims, which
+    decide FAILS.  With `count_hits` the HOLDS notes count the antecedents.
+    """
+    for stored, claims in probes:
+        found = _probe(cell, stored, claims)
+        if found:
+            return found
+    rng = cell.stream()
+    names = cell.letters()
+    hits = 0
+    for _ in range(cell.budget.samples):
+        claims = draw(rng, names)
+        if claims is None:
+            continue
+        hits += 1
+        if claims:
+            witness = {"description": description, "claims": claims}
+            return Decision(Outcome.FAILS, Method.SAMPLED, witness)
+    notes = f"{hits} samples had the antecedent" if count_hits else ""
+    return Decision(Outcome.HOLDS, Method.SAMPLED, None, cell.budget.samples, notes)
 
 
 # ---------------------------------------------------------------------------
 # Property checkers
 
 
-def _check_explosive(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    m = spec.matrix
+def _check_explosive(cell: _Cell) -> Decision:
+    m = cell.spec.matrix
     pair = FormulaSet([P, Neg(P)])
-    if spec.para_depth == 0:
+    if cell.spec.para_depth == 0:
         if has_star_property(m) and not is_consistent(m, pair):
             # negation pushes designated values out of the designated set, so a
             # formula and its negation are never jointly designated: any set
@@ -359,76 +373,39 @@ def _check_explosive(spec: LogicSpec, budget: AuditBudget) -> Verdict:
                 "designated set; a set yielding x and ~x has no models",
                 "claims": [
                     {"kind": "star_property", "expected": True},
-                    claim_consistent(pair, False),
-                    claim_entails(pair, Q, True),
+                    claim_consistent(0, pair, False),
+                    claim_entails(0, pair, Q, True),
                 ],
             }
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.EXPLOSIVE,
-                budget=budget,
-                outcome=Outcome.HOLDS,
-                method=Method.EXACT,
-                witness=witness,
-            )
-        return _verdict(
-            spec=spec,
-            prop=PropertyId.EXPLOSIVE,
-            budget=budget,
-            outcome=Outcome.UNDECIDED,
-            method=Method.BOUNDED,
+            return Decision(Outcome.HOLDS, Method.EXACT, witness)
+        return Decision(
+            Outcome.UNDECIDED,
+            Method.BOUNDED,
             notes="matrix lacks the negation condition; no exact argument available",
         )
-    claims = [
-        claim_para(pair, P, True),
-        claim_para(pair, Neg(P), True),
-        claim_para(pair, Q, False),
-    ]
-    if replay_claims(m, claims):
-        witness = {
-            "description": "{p, ~p} yields both p and ~p but not q, so it is "
-            "not inconsistent",
-            "claims": claims,
-        }
-        return _verdict(
-            spec=spec,
-            prop=PropertyId.EXPLOSIVE,
-            budget=budget,
-            outcome=Outcome.FAILS,
-            method=Method.WITNESS,
-            witness=witness,
-        )
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.EXPLOSIVE,
-        budget=budget,
-        outcome=Outcome.UNDECIDED,
-        method=Method.WITNESS,
+    found = _probe(
+        cell,
+        "{p, ~p} yields both p and ~p but not q, so it is not inconsistent",
+        [
+            cell.claim(pair, P, True),
+            cell.claim(pair, Neg(P), True),
+            cell.claim(pair, Q, False),
+        ],
+    )
+    return found or Decision(
+        Outcome.UNDECIDED,
+        Method.WITNESS,
         notes="stored witness did not demonstrate a failure for this matrix",
     )
 
 
-def _check_paraconsistent(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    inner = _check_explosive(spec, budget)
-    flipped = {
-        Outcome.HOLDS: Outcome.FAILS,
-        Outcome.FAILS: Outcome.HOLDS,
-        Outcome.UNDECIDED: Outcome.UNDECIDED,
-    }[inner.outcome]
-    witness = inner.witness
-    if flipped is Outcome.HOLDS:
-        # a HOLDS verdict keeps the explosion counterexample as evidence
-        pass
-    return Verdict(
-        property=PropertyId.PARACONSISTENT,
-        logic_name=spec.name,
-        outcome=flipped,
-        method=inner.method,
-        witness=witness,
-        samples_run=inner.samples_run,
-        bounds=budget.bounds,
-        notes="paraconsistent = not explosive",
-    )
+def _check_paraconsistent(cell: _Cell) -> Decision:
+    # the explosion evidence serves both ways: a HOLDS here keeps the
+    # explosion counterexample, a FAILS the exact explosion argument
+    explosive = _check_explosive(cell)
+    flipped = {Outcome.HOLDS: Outcome.FAILS, Outcome.FAILS: Outcome.HOLDS}
+    outcome = flipped.get(explosive.outcome, explosive.outcome)
+    return replace(explosive, outcome=outcome, notes="paraconsistent = not explosive")
 
 
 _INCONSISTENT_CANDIDATES = (
@@ -438,146 +415,89 @@ _INCONSISTENT_CANDIDATES = (
 )
 
 
-def _check_joint_consistency(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    m = spec.matrix
-    if spec.para_depth == 0:
+def _fresh_letter_argument(cell: _Cell, description: str) -> Decision:
+    """FAILS exactly: under the transform no finite set is inconsistent."""
+    depth = cell.spec.para_depth
+    claims = [claim_consistent(depth, s, True) for s in _INCONSISTENT_CANDIDATES]
+    witness = {"description": description, "claims": claims}
+    return Decision(Outcome.FAILS, Method.EXACT, witness)
+
+
+def _check_joint_consistency(cell: _Cell) -> Decision:
+    if cell.spec.para_depth >= 1:
+        return _fresh_letter_argument(
+            cell,
+            "the designated set is proper, so a fresh letter escapes the "
+            "transformed consequences of every finite set; no set is "
+            "inconsistent and the required {x, ~x} cannot exist",
+        )
+    rng, names, samples = cell.stream(), cell.letters(), cell.budget.samples
+    # x = p first, then up to `samples` drawn candidates
+    for drawn in range(samples + 1):
+        x = draw_formula(rng, names, cell.budget.depth) if drawn else P
         claims = [
-            claim_consistent(FormulaSet([P]), True),
-            claim_consistent(FormulaSet([Neg(P)]), True),
-            claim_consistent(FormulaSet([P, Neg(P)]), False),
+            claim_consistent(0, FormulaSet([x]), True),
+            claim_consistent(0, FormulaSet([Neg(x)]), True),
+            claim_consistent(0, FormulaSet([x, Neg(x)]), False),
         ]
-        if replay_claims(m, claims):
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.JOINT_CONSISTENCY,
-                budget=budget,
-                outcome=Outcome.HOLDS,
-                method=Method.WITNESS,
-                witness={"description": "witness x = p", "claims": claims},
-            )
-        rng = _rng_for(budget, PropertyId.JOINT_CONSISTENCY, spec.name)
-        names = _pool(budget)
-        for _ in range(budget.samples):
-            x = draw_formula(rng, names, budget.depth)
-            claims = [
-                claim_consistent(FormulaSet([x]), True),
-                claim_consistent(FormulaSet([Neg(x)]), True),
-                claim_consistent(FormulaSet([x, Neg(x)]), False),
-            ]
-            if replay_claims(m, claims):
-                return _verdict(
-                    spec=spec,
-                    prop=PropertyId.JOINT_CONSISTENCY,
-                    budget=budget,
-                    outcome=Outcome.HOLDS,
-                    method=Method.WITNESS,
-                    witness={"description": f"witness x = {render(x)}", "claims": claims},
-                    samples_run=budget.samples,
-                )
-        return _verdict(
-            spec=spec,
-            prop=PropertyId.JOINT_CONSISTENCY,
-            budget=budget,
-            outcome=Outcome.FAILS,
-            method=Method.BOUNDED,
-            witness={"description": "no witness found within budget", "claims": []},
-            samples_run=budget.samples,
+        if replay_claims(cell.spec.matrix, claims):
+            witness = {"description": f"witness x = {render(x)}", "claims": claims}
+            samples_run = samples if drawn else 0
+            return Decision(Outcome.HOLDS, Method.WITNESS, witness, samples_run)
+    witness = {"description": "no witness found within budget", "claims": []}
+    return Decision(Outcome.FAILS, Method.BOUNDED, witness, samples)
+
+
+def _check_inconsistent_sets(cell: _Cell) -> Decision:
+    if cell.spec.para_depth >= 1:
+        return _fresh_letter_argument(
+            cell,
+            "fresh-letter argument: every finite set stays consistent under "
+            "the transform",
         )
-    claims = [claim_para_consistent(s, True) for s in _INCONSISTENT_CANDIDATES]
+    for candidate in _INCONSISTENT_CANDIDATES:
+        if not is_consistent(cell.spec.matrix, candidate):
+            witness = {
+                "description": f"inconsistent set {candidate}",
+                "claims": [claim_consistent(0, candidate, False)],
+            }
+            return Decision(Outcome.HOLDS, Method.WITNESS, witness)
     witness = {
-        "description": "the designated set is proper, so a fresh letter escapes "
-        "the transformed consequences of every finite set; no set is "
-        "inconsistent and the required {x, ~x} cannot exist",
-        "claims": claims,
+        "description": "all candidate sets have models",
+        "claims": [claim_consistent(0, s, True) for s in _INCONSISTENT_CANDIDATES],
     }
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.JOINT_CONSISTENCY,
-        budget=budget,
-        outcome=Outcome.FAILS,
-        method=Method.EXACT,
-        witness=witness,
+    return Decision(Outcome.FAILS, Method.BOUNDED, witness)
+
+
+def _check_conjunctive(cell: _Cell) -> Decision:
+    if cell.spec.para_depth >= 1:
+        return _bounded_conjunctive_refutation(cell)
+    rng, names, depth = cell.stream(), cell.letters(), cell.budget.depth
+    for _ in range(cell.budget.samples):
+        a = draw_formula(rng, names, depth)
+        b = draw_formula(rng, names, depth)
+        z = And(a, b)
+        claims = [
+            cell.claim(FormulaSet([a, b]), z, True),
+            cell.claim(FormulaSet([z]), a, True),
+            cell.claim(FormulaSet([z]), b, True),
+        ]
+        if not replay_claims(cell.spec.matrix, claims):
+            return Decision(
+                Outcome.UNDECIDED,
+                Method.SAMPLED,
+                notes=f"conjunction is not equivalent to the pair "
+                f"({render(a)}, {render(b)}); other combiners not searched",
+            )
+    return Decision(
+        Outcome.HOLDS,
+        Method.SAMPLED,
+        samples_run=cell.budget.samples,
+        notes="z = x & y generates the same consequences as {x, y} on all samples",
     )
 
 
-def _check_inconsistent_sets(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    m = spec.matrix
-    if spec.para_depth == 0:
-        for candidate in _INCONSISTENT_CANDIDATES:
-            if not is_consistent(m, candidate):
-                claims = [claim_consistent(candidate, False)]
-                return _verdict(
-                    spec=spec,
-                    prop=PropertyId.INCONSISTENT_SETS_EXIST,
-                    budget=budget,
-                    outcome=Outcome.HOLDS,
-                    method=Method.WITNESS,
-                    witness={"description": f"inconsistent set {candidate}", "claims": claims},
-                )
-        return _verdict(
-            spec=spec,
-            prop=PropertyId.INCONSISTENT_SETS_EXIST,
-            budget=budget,
-            outcome=Outcome.FAILS,
-            method=Method.BOUNDED,
-            witness={
-                "description": "all candidate sets have models",
-                "claims": [claim_consistent(s, True) for s in _INCONSISTENT_CANDIDATES],
-            },
-        )
-    claims = [claim_para_consistent(s, True) for s in _INCONSISTENT_CANDIDATES]
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.INCONSISTENT_SETS_EXIST,
-        budget=budget,
-        outcome=Outcome.FAILS,
-        method=Method.EXACT,
-        witness={
-            "description": "fresh-letter argument: every finite set stays "
-            "consistent under the transform",
-            "claims": claims,
-        },
-    )
-
-
-def _check_conjunctive(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    m = spec.matrix
-    rng = _rng_for(budget, PropertyId.CONJUNCTIVE_PROPERTY, spec.name)
-    names = _pool(budget)
-    if spec.para_depth == 0:
-        for _ in range(budget.samples):
-            a = draw_formula(rng, names, budget.depth)
-            b = draw_formula(rng, names, budget.depth)
-            z = And(a, b)
-            pair = FormulaSet([a, b])
-            claims = [
-                claim_entails(pair, z, True),
-                claim_entails(FormulaSet([z]), a, True),
-                claim_entails(FormulaSet([z]), b, True),
-            ]
-            if not replay_claims(m, claims):
-                return _verdict(
-                    spec=spec,
-                    prop=PropertyId.CONJUNCTIVE_PROPERTY,
-                    budget=budget,
-                    outcome=Outcome.UNDECIDED,
-                    method=Method.SAMPLED,
-                    notes=f"conjunction is not equivalent to the pair "
-                    f"({render(a)}, {render(b)}); other combiners not searched",
-                )
-        return _verdict(
-            spec=spec,
-            prop=PropertyId.CONJUNCTIVE_PROPERTY,
-            budget=budget,
-            outcome=Outcome.HOLDS,
-            method=Method.SAMPLED,
-            samples_run=budget.samples,
-            notes="z = x & y generates the same consequences as {x, y} on all samples",
-        )
-    return _bounded_conjunctive_refutation(spec, budget)
-
-
-def _bounded_conjunctive_refutation(spec: LogicSpec, budget: AuditBudget) -> Verdict:
+def _bounded_conjunctive_refutation(cell: _Cell) -> Decision:
     """Refute the conjunctive property for a transformed logic, within bounds.
 
     For x = p, y = ~p the transformed consequences include p|q and ~p|q but
@@ -585,21 +505,23 @@ def _bounded_conjunctive_refutation(spec: LogicSpec, budget: AuditBudget) -> Ver
     all three or none; the search walks every achievable truth-value vector
     over {p, q} up to the depth bound and checks the three probes.
     """
-    m = spec.matrix
+    m = cell.spec.matrix
     pair = FormulaSet([P, Neg(P)])
     probe_a, probe_b, probe_q = parse("p | q"), parse("~p | q"), Q
-    premise_claims = [
-        claim_para(pair, probe_a, True),
-        claim_para(pair, probe_b, True),
-        claim_para(pair, probe_q, False),
-    ]
-    if not replay_claims(m, premise_claims):
-        return _verdict(
-            spec=spec,
-            prop=PropertyId.CONJUNCTIVE_PROPERTY,
-            budget=budget,
-            outcome=Outcome.UNDECIDED,
-            method=Method.BOUNDED,
+    premises = _probe(
+        cell,
+        "for x = p, y = ~p no single formula over {p, q} up to "
+        "the depth bound yields p|q and ~p|q without yielding q",
+        [
+            cell.claim(pair, probe_a, True),
+            cell.claim(pair, probe_b, True),
+            cell.claim(pair, probe_q, False),
+        ],
+    )
+    if premises is None:
+        return Decision(
+            Outcome.UNDECIDED,
+            Method.BOUNDED,
             notes="probe premises do not hold for this matrix",
         )
     grid = list(valuations(m, {"p", "q"}))
@@ -617,187 +539,109 @@ def _bounded_conjunctive_refutation(spec: LogicSpec, budget: AuditBudget) -> Ver
 
     mask_a, mask_b, mask_q = (mask_of(vec_of(f)) for f in (probe_a, probe_b, probe_q))
 
-    reached: dict[tuple, Formula] = {vec_of(P): P, vec_of(Q): Q}
-    frontier = list(reached)
-    checked = 0
-
     def candidate_passes(mask: int) -> bool:
         if mask == 0:
             # inconsistent singleton: its transformed consequences are the
             # tautologies, so the probes must all be tautologies (q is not)
             return mask_a == full and mask_b == full and mask_q != full
-        return (
-            mask & ~mask_a & full == 0
-            and mask & ~mask_b & full == 0
-            and mask & ~mask_q & full != 0
-        )
+        return mask & ~mask_a == 0 and mask & ~mask_b == 0 and mask & ~mask_q != 0
 
-    for vec in reached:
-        checked += 1
-        if candidate_passes(mask_of(vec)):
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.CONJUNCTIVE_PROPERTY,
-                budget=budget,
-                outcome=Outcome.UNDECIDED,
-                method=Method.BOUNDED,
-                notes=f"candidate {render(reached[vec])} passes the probes",
-            )
-    for _ in range(budget.depth):
-        new: dict[tuple, Formula] = {}
-        cum = list(reached.items())
-        # negations of the frontier, then binaries touching the frontier
-        frontier_set = set(frontier)
-        for vec in frontier:
-            nv = tuple(m.neg[x] for x in vec)
-            if nv not in reached and nv not in new:
-                new[nv] = Neg(reached[vec])
-        for table, ctor in ((m.or_, Or), (m.and_, And), (m.imp, Imp)):
-            for va, ra in cum:
-                for vb, rb in cum:
-                    if va not in frontier_set and vb not in frontier_set:
-                        continue
-                    out = tuple(table[(x, y)] for x, y in zip(va, vb))
-                    if out not in reached and out not in new:
-                        new[out] = ctor(ra, rb)
-        for vec, rep in new.items():
+    reached: dict[tuple, Formula] = {}
+    level: dict[tuple, Formula] = {vec_of(P): P, vec_of(Q): Q}
+    checked = 0
+    for step in range(cell.budget.depth + 1):
+        if step:
+            level = _next_level(m, reached, level)
+        for vec, rep in level.items():
             checked += 1
             if candidate_passes(mask_of(vec)):
-                return _verdict(
-                    spec=spec,
-                    prop=PropertyId.CONJUNCTIVE_PROPERTY,
-                    budget=budget,
-                    outcome=Outcome.UNDECIDED,
-                    method=Method.BOUNDED,
+                return Decision(
+                    Outcome.UNDECIDED,
+                    Method.BOUNDED,
                     notes=f"candidate {render(rep)} passes the probes",
                 )
-        reached.update(new)
-        frontier = list(new)
-    witness = {
-        "description": "for x = p, y = ~p no single formula over {p, q} up to "
-        "the depth bound yields p|q and ~p|q without yielding q",
-        "claims": premise_claims,
-        "candidates_checked": checked,
-    }
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.CONJUNCTIVE_PROPERTY,
-        budget=budget,
-        outcome=Outcome.FAILS,
-        method=Method.BOUNDED,
-        witness=witness,
-    )
+        reached.update(level)
+    witness = {**premises.witness, "candidates_checked": checked}
+    return Decision(Outcome.FAILS, Method.BOUNDED, witness)
 
 
-def _check_p_idempotent(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    m = spec.matrix
-    rng = _rng_for(budget, PropertyId.P_IDEMPOTENT, spec.name)
-    names = _pool(budget)
-    one = LogicSpec(m, 1)
-    two = LogicSpec(m, 2)
-    for _ in range(budget.samples):
-        gamma = _sample_set(rng, names, min(budget.depth, 2), budget.gamma_size)
-        alpha = draw_formula(rng, names, min(budget.depth, 2))
+def _next_level(
+    m: Matrix, reached: dict[tuple, Formula], frontier: dict[tuple, Formula]
+) -> dict[tuple, Formula]:
+    """Vectors first reached one connective above `frontier`, with formulas."""
+    new: dict[tuple, Formula] = {}
+    cum = list(reached.items())
+    # negations of the frontier, then binaries touching the frontier
+    for vec in frontier:
+        nv = tuple(m.neg[x] for x in vec)
+        if nv not in reached and nv not in new:
+            new[nv] = Neg(reached[vec])
+    for table, ctor in ((m.or_, Or), (m.and_, And), (m.imp, Imp)):
+        for va, ra in cum:
+            for vb, rb in cum:
+                if va not in frontier and vb not in frontier:
+                    continue
+                out = tuple(table[(x, y)] for x, y in zip(va, vb))
+                if out not in reached and out not in new:
+                    new[out] = ctor(ra, rb)
+    return new
+
+
+def _check_p_idempotent(cell: _Cell) -> Decision:
+    one = LogicSpec(cell.spec.matrix, 1)
+    two = LogicSpec(cell.spec.matrix, 2)
+    depth = min(cell.budget.depth, 2)
+
+    def draw(rng: random.Random, names: list[str]) -> list[dict]:
+        gamma = _sample_set(rng, names, depth, cell.budget.gamma_size)
+        alpha = draw_formula(rng, names, depth)
         first = logic_entails(one, gamma, alpha)
         second = logic_entails(two, gamma, alpha)
-        if first != second:
-            witness = {
-                "description": "query answered differently at transform depths 1 and 2",
-                "claims": [
-                    {
-                        "kind": "logic_entails",
-                        "depth": 1,
-                        "gamma": _gamma_strs(gamma),
-                        "alpha": render(alpha),
-                        "expected": first,
-                    },
-                    {
-                        "kind": "logic_entails",
-                        "depth": 2,
-                        "gamma": _gamma_strs(gamma),
-                        "alpha": render(alpha),
-                        "expected": second,
-                    },
-                ],
+        if first == second:
+            return []
+        return [
+            {
+                "kind": "logic_entails",
+                "depth": para_depth,
+                "gamma": _gamma_strs(gamma),
+                "alpha": render(alpha),
+                "expected": got,
             }
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.P_IDEMPOTENT,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.SAMPLED,
-                witness=witness,
-            )
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.P_IDEMPOTENT,
-        budget=budget,
-        outcome=Outcome.HOLDS,
-        method=Method.SAMPLED,
-        samples_run=budget.samples,
-    )
+            for para_depth, got in ((1, first), (2, second))
+        ]
+
+    description = "query answered differently at transform depths 1 and 2"
+    return _sampled(cell, description, draw)
 
 
 _INCLUSION_CANDIDATES = (NOT_SELF_IMP, P_AND_NOT_P)
 
 
-def _check_inclusion(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    m = spec.matrix
-    rel = _rel(spec)
-    if spec.para_depth >= 1:
+def _check_inclusion(cell: _Cell) -> Decision:
+    budget = cell.budget
+    probes = []
+    if cell.spec.para_depth >= 1:
         for w in _INCLUSION_CANDIDATES:
             single = FormulaSet([w])
-            if not is_consistent(m, single):
-                claims = [
-                    claim_consistent(single, False),
-                    claim_para(single, w, False),
-                ]
-                return _verdict(
-                    spec=spec,
-                    prop=PropertyId.INCLUSION,
-                    budget=budget,
-                    outcome=Outcome.FAILS,
-                    method=Method.WITNESS,
-                    witness={
-                        "description": f"{{{render(w)}}} does not yield itself",
-                        "claims": claims,
-                    },
-                )
-    rng = _rng_for(budget, PropertyId.INCLUSION, spec.name)
-    names = _pool(budget)
-    for _ in range(budget.samples):
+            claims = [claim_consistent(0, single, False), cell.claim(single, w, False)]
+            probes.append((f"{{{render(w)}}} does not yield itself", claims))
+
+    def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
         gamma = _sample_set(rng, names, budget.depth, budget.gamma_size)
         if not gamma:
-            continue
+            return None
         alpha = rng.choice(list(gamma))
-        if not rel(gamma, alpha):
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.INCLUSION,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.SAMPLED,
-                witness={
-                    "description": "a premise is not among the consequences",
-                    "claims": [claim_rel(spec, gamma, alpha, False)],
-                },
-            )
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.INCLUSION,
-        budget=budget,
-        outcome=Outcome.HOLDS,
-        method=Method.SAMPLED,
-        samples_run=budget.samples,
-    )
+        if cell.rel(gamma, alpha):
+            return []
+        return [cell.claim(gamma, alpha, False)]
+
+    return _sampled(cell, "a premise is not among the consequences", draw, probes)
 
 
-def _check_monotonicity(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    rel = _rel(spec)
-    rng = _rng_for(budget, PropertyId.MONOTONICITY, spec.name)
-    names = _pool(budget)
-    positives = 0
-    for _ in range(budget.samples):
+def _check_monotonicity(cell: _Cell) -> Decision:
+    budget = cell.budget
+
+    def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
         gamma = _sample_set(rng, names, budget.depth, budget.gamma_size)
         delta = _sample_set(rng, names, budget.depth, budget.gamma_size)
         if gamma and rng.random() < 0.5:
@@ -806,216 +650,81 @@ def _check_monotonicity(spec: LogicSpec, budget: AuditBudget) -> Verdict:
             alpha = Or(rng.choice(list(gamma)), draw_formula(rng, names, 1))
         else:
             alpha = draw_formula(rng, names, budget.depth)
-        if not rel(gamma, alpha):
-            continue
-        positives += 1
-        if not rel(gamma.union(delta), alpha):
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.MONOTONICITY,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.SAMPLED,
-                witness={
-                    "description": "adding premises removed a consequence",
-                    "claims": [
-                        claim_rel(spec, gamma, alpha, True),
-                        claim_rel(spec, gamma.union(delta), alpha, False),
-                    ],
-                },
-            )
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.MONOTONICITY,
-        budget=budget,
-        outcome=Outcome.HOLDS,
-        method=Method.SAMPLED,
-        samples_run=budget.samples,
-        notes=f"{positives} samples had the antecedent",
-    )
+        if not cell.rel(gamma, alpha):
+            return None
+        if cell.rel(gamma.union(delta), alpha):
+            return []
+        return [
+            cell.claim(gamma, alpha, True),
+            cell.claim(gamma.union(delta), alpha, False),
+        ]
+
+    description = "adding premises removed a consequence"
+    return _sampled(cell, description, draw, count_hits=True)
 
 
-_CUT_WITNESS_GAMMA = FormulaSet([P, Neg(P)])
-_CUT_WITNESS_DELTA = FormulaSet([parse("p | q"), Neg(P)])
+# (stored-witness description, sampled-counterexample description) per row
+_CUT_DESCRIPTIONS = {
+    PropertyId.IDEMPOTENCY: (
+        "p|q and ~p are consequences of {p, ~p}, and q follows from them, "
+        "but q is not a consequence of {p, ~p}",
+        "consequences of consequences escape the set",
+    ),
+    PropertyId.TRANSITIVITY: (
+        "every member of {p|q, ~p} follows from {p, ~p} and q follows "
+        "from {p|q, ~p}, yet q does not follow from {p, ~p}",
+        "chaining through an intermediate set fails",
+    ),
+}
 
 
-def _cut_failure_witness(spec: LogicSpec, description: str) -> dict | None:
-    """The {p, ~p} / {p|q, ~p} / q counterexample, if it replays."""
-    claims = [
-        claim_para(_CUT_WITNESS_GAMMA, parse("p | q"), True),
-        claim_para(_CUT_WITNESS_GAMMA, Neg(P), True),
-        claim_para(_CUT_WITNESS_DELTA, Q, True),
-        claim_para(_CUT_WITNESS_GAMMA, Q, False),
-    ]
-    if replay_claims(spec.matrix, claims):
-        return {"description": description, "claims": claims}
-    return None
+def _check_cut(cell: _Cell) -> Decision:
+    """Idempotency and transitivity, which both chain consequences."""
+    stored, sampled = _CUT_DESCRIPTIONS[cell.prop]
+    budget = cell.budget
+    probes = []
+    if cell.spec.para_depth >= 1:
+        # {p, ~p} yields p|q and ~p, which yield q; {p, ~p} does not
+        gamma, delta = FormulaSet([P, Neg(P)]), FormulaSet([parse("p | q"), Neg(P)])
+        claims = [
+            cell.claim(gamma, parse("p | q"), True),
+            cell.claim(gamma, Neg(P), True),
+            cell.claim(delta, Q, True),
+            cell.claim(gamma, Q, False),
+        ]
+        probes.append((stored, claims))
 
+    def consequences(rng: random.Random, names: list[str], gamma: FormulaSet):
+        """Up to two consequences of `gamma`, found in at most eight tries."""
+        out: list[Formula] = []
+        members = list(gamma)
+        for _ in range(8):
+            if len(out) >= 2:
+                break
+            if members and rng.random() < 0.6:
+                guess: Formula = Or(rng.choice(members), draw_formula(rng, names, 1))
+            else:
+                guess = draw_formula(rng, names, budget.depth)
+            if cell.rel(gamma, guess):
+                out.append(guess)
+        return out
 
-def _generate_consequences(
-    rng: random.Random,
-    rel: Callable[[FormulaSet, Formula], bool],
-    gamma: FormulaSet,
-    names: list[str],
-    depth: int,
-    want: int,
-) -> list[Formula]:
-    out = []
-    members = list(gamma)
-    for _ in range(want * 4):
-        if len(out) >= want:
-            break
-        if members and rng.random() < 0.6:
-            candidate: Formula = Or(rng.choice(members), draw_formula(rng, names, 1))
-        else:
-            candidate = draw_formula(rng, names, depth)
-        if rel(gamma, candidate):
-            out.append(candidate)
-    return out
-
-
-def _check_idempotency(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    if spec.para_depth >= 1:
-        witness = _cut_failure_witness(
-            spec,
-            "p|q and ~p are consequences of {p, ~p}, and q follows from them, "
-            "but q is not a consequence of {p, ~p}",
-        )
-        if witness is not None:
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.IDEMPOTENCY,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.WITNESS,
-                witness=witness,
-            )
-    rel = _rel(spec)
-    rng = _rng_for(budget, PropertyId.IDEMPOTENCY, spec.name)
-    names = _pool(budget)
-    positives = 0
-    for _ in range(budget.samples):
+    def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
         gamma = _sample_set(rng, names, budget.depth, budget.gamma_size)
-        delta = _generate_consequences(rng, rel, gamma, names, budget.depth, 2)
+        delta = consequences(rng, names, gamma)
         if not delta:
-            continue
+            return None
         alpha = draw_formula(rng, names, budget.depth)
-        if not rel(FormulaSet(delta), alpha):
-            continue
-        positives += 1
-        if not rel(gamma, alpha):
-            claims = [claim_rel(spec, gamma, d, True) for d in delta]
-            claims.append(claim_rel(spec, FormulaSet(delta), alpha, True))
-            claims.append(claim_rel(spec, gamma, alpha, False))
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.IDEMPOTENCY,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.SAMPLED,
-                witness={
-                    "description": "consequences of consequences escape the set",
-                    "claims": claims,
-                },
-            )
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.IDEMPOTENCY,
-        budget=budget,
-        outcome=Outcome.HOLDS,
-        method=Method.SAMPLED,
-        samples_run=budget.samples,
-        notes=f"{positives} samples had the antecedent",
-    )
+        if not cell.rel(FormulaSet(delta), alpha):
+            return None
+        if cell.rel(gamma, alpha):
+            return []
+        claims = [cell.claim(gamma, d, True) for d in delta]
+        claims.append(cell.claim(FormulaSet(delta), alpha, True))
+        claims.append(cell.claim(gamma, alpha, False))
+        return claims
 
-
-def _check_transitivity(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    if spec.para_depth >= 1:
-        witness = _cut_failure_witness(
-            spec,
-            "every member of {p|q, ~p} follows from {p, ~p} and q follows "
-            "from {p|q, ~p}, yet q does not follow from {p, ~p}",
-        )
-        if witness is not None:
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.TRANSITIVITY,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.WITNESS,
-                witness=witness,
-            )
-    rel = _rel(spec)
-    rng = _rng_for(budget, PropertyId.TRANSITIVITY, spec.name)
-    names = _pool(budget)
-    positives = 0
-    for _ in range(budget.samples):
-        gamma = _sample_set(rng, names, budget.depth, budget.gamma_size)
-        delta = _generate_consequences(rng, rel, gamma, names, budget.depth, 2)
-        if not delta:
-            continue
-        alpha = draw_formula(rng, names, budget.depth)
-        if not rel(FormulaSet(delta), alpha):
-            continue
-        positives += 1
-        if not rel(gamma, alpha):
-            claims = [claim_rel(spec, gamma, d, True) for d in delta]
-            claims.append(claim_rel(spec, FormulaSet(delta), alpha, True))
-            claims.append(claim_rel(spec, gamma, alpha, False))
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.TRANSITIVITY,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.SAMPLED,
-                witness={"description": "chaining through an intermediate set fails", "claims": claims},
-            )
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.TRANSITIVITY,
-        budget=budget,
-        outcome=Outcome.HOLDS,
-        method=Method.SAMPLED,
-        samples_run=budget.samples,
-        notes=f"{positives} samples had the antecedent",
-    )
-
-
-def _check_weak_transitivity(spec: LogicSpec, budget: AuditBudget) -> Verdict:
-    rel = _rel(spec)
-    rng = _rng_for(budget, PropertyId.WEAK_TRANSITIVITY, spec.name)
-    names = _pool(budget)
-    positives = 0
-    for _ in range(budget.samples):
-        alpha = draw_formula(rng, names, budget.depth)
-        beta = _biased_successor(rng, alpha, names, budget.depth)
-        gamma_f = _biased_successor(rng, beta, names, budget.depth)
-        if not (rel(FormulaSet([alpha]), beta) and rel(FormulaSet([beta]), gamma_f)):
-            continue
-        positives += 1
-        if not rel(FormulaSet([alpha]), gamma_f):
-            claims = [
-                claim_rel(spec, FormulaSet([alpha]), beta, True),
-                claim_rel(spec, FormulaSet([beta]), gamma_f, True),
-                claim_rel(spec, FormulaSet([alpha]), gamma_f, False),
-            ]
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.WEAK_TRANSITIVITY,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.SAMPLED,
-                witness={"description": "singleton chain breaks", "claims": claims},
-            )
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.WEAK_TRANSITIVITY,
-        budget=budget,
-        outcome=Outcome.HOLDS,
-        method=Method.SAMPLED,
-        samples_run=budget.samples,
-        notes=f"{positives} samples had the antecedent",
-    )
+    return _sampled(cell, sampled, draw, probes, count_hits=True)
 
 
 def _biased_successor(
@@ -1029,93 +738,78 @@ def _biased_successor(
     return draw_formula(rng, names, depth)
 
 
-_MP_WITNESS = FormulaSet([P, parse("~p & (p -> q)")])
+def _check_weak_transitivity(cell: _Cell) -> Decision:
+    depth = cell.budget.depth
+
+    def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
+        alpha = draw_formula(rng, names, depth)
+        beta = _biased_successor(rng, alpha, names, depth)
+        gamma_f = _biased_successor(rng, beta, names, depth)
+        from_alpha, from_beta = FormulaSet([alpha]), FormulaSet([beta])
+        if not (cell.rel(from_alpha, beta) and cell.rel(from_beta, gamma_f)):
+            return None
+        if cell.rel(from_alpha, gamma_f):
+            return []
+        return [
+            cell.claim(from_alpha, beta, True),
+            cell.claim(from_beta, gamma_f, True),
+            cell.claim(from_alpha, gamma_f, False),
+        ]
+
+    return _sampled(cell, "singleton chain breaks", draw, count_hits=True)
 
 
-def check_modus_ponens(spec: LogicSpec, budget: AuditBudget) -> Verdict:
+_MP_READING = "read as the closure rule: a, a->b in Cn(G) imply b in Cn(G)"
+
+
+def _check_modus_ponens(cell: _Cell) -> Decision:
     """Modus ponens read as a closure rule: if a and a->b are consequences of a
     set, then so is b."""
-    budget.validate()
-    m = spec.matrix
-    notes = "read as the closure rule: a, a->b in Cn(G) imply b in Cn(G)"
-    if spec.para_depth >= 1:
-        claims = [
-            claim_para(_MP_WITNESS, P, True),
-            claim_para(_MP_WITNESS, Imp(P, Q), True),
-            claim_para(_MP_WITNESS, Q, False),
-        ]
-        if replay_claims(m, claims):
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.MODUS_PONENS,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.WITNESS,
-                witness={
-                    "description": "{p, ~p & (p -> q)} yields p and p -> q but not q",
-                    "claims": claims,
-                },
-                notes=notes,
-            )
-    rel = _rel(spec)
-    rng = _rng_for(budget, PropertyId.MODUS_PONENS, spec.name)
-    names = _pool(budget)
-    positives = 0
-    for _ in range(budget.samples):
+    budget = cell.budget
+
+    def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
         alpha = draw_formula(rng, names, budget.depth - 1)
         beta = draw_formula(rng, names, budget.depth - 1)
         gamma = _sample_set(rng, names, budget.depth, budget.gamma_size - 2)
         if rng.random() < 0.7:
             gamma = gamma.union([alpha, Imp(alpha, beta)])
-        if not (rel(gamma, alpha) and rel(gamma, Imp(alpha, beta))):
-            continue
-        positives += 1
-        if not rel(gamma, beta):
-            claims = [
-                claim_rel(spec, gamma, alpha, True),
-                claim_rel(spec, gamma, Imp(alpha, beta), True),
-                claim_rel(spec, gamma, beta, False),
-            ]
-            return _verdict(
-                spec=spec,
-                prop=PropertyId.MODUS_PONENS,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.SAMPLED,
-                witness={"description": "closure under detachment fails", "claims": claims},
-                notes=notes,
-            )
-    return _verdict(
-        spec=spec,
-        prop=PropertyId.MODUS_PONENS,
-        budget=budget,
-        outcome=Outcome.HOLDS,
-        method=Method.SAMPLED,
-        samples_run=budget.samples,
-        notes=notes + f"; {positives} samples had the antecedent",
-    )
+        if not (cell.rel(gamma, alpha) and cell.rel(gamma, Imp(alpha, beta))):
+            return None
+        if cell.rel(gamma, beta):
+            return []
+        return [
+            cell.claim(gamma, alpha, True),
+            cell.claim(gamma, Imp(alpha, beta), True),
+            cell.claim(gamma, beta, False),
+        ]
+
+    probes = []
+    if cell.spec.para_depth >= 1:
+        gamma = FormulaSet([P, parse("~p & (p -> q)")])
+        claims = [
+            cell.claim(gamma, P, True),
+            cell.claim(gamma, Imp(P, Q), True),
+            cell.claim(gamma, Q, False),
+        ]
+        probes.append(("{p, ~p & (p -> q)} yields p and p -> q but not q", claims))
+    description = "closure under detachment fails"
+    decided = _sampled(cell, description, draw, probes, count_hits=True)
+    decided.notes = "; ".join(filter(None, (_MP_READING, decided.notes)))
+    return decided
 
 
-def _dt_consequent(variant: PropertyId, alpha: Formula, beta: Formula) -> Formula:
-    if variant in (PropertyId.MODIFIED_FULL_DT, PropertyId.MODIFIED_WEAK_DT_FWD):
-        return Imp(alpha, Imp(alpha, beta))
-    return Imp(alpha, beta)
-
-
-_DT_FORWARD_CANDIDATES = (
-    (FormulaSet(), P, P),
-    (FormulaSet(), P, parse("~(p -> ~p)")),
-    (FormulaSet(), P_AND_NOT_P, Q),
-)
-_DT_CONVERSE_CANDIDATES = (
-    (FormulaSet(), NOT_SELF_IMP, NOT_SELF_IMP),
-    (FormulaSet(), P_AND_NOT_P, P_AND_NOT_P),
+# Stored instances (forward?, alpha, beta) over the empty premise set; the
+# converse ones apply to the biconditional rows only.
+_DT_CANDIDATES = (
+    (True, P, P),
+    (True, P, parse("~(p -> ~p)")),
+    (True, P_AND_NOT_P, Q),
+    (False, NOT_SELF_IMP, NOT_SELF_IMP),
+    (False, P_AND_NOT_P, P_AND_NOT_P),
 )
 
 
-def check_deduction_variant(
-    spec: LogicSpec, variant: PropertyId, budget: AuditBudget
-) -> Verdict:
+def _check_deduction(cell: _Cell) -> Decision:
     """One of the four deduction-theorem rows.
 
     The "full" variants are biconditionals; the "(=>)" variants only assert
@@ -1123,66 +817,32 @@ def check_deduction_variant(
     candidates are tried first so failures are deterministic; otherwise the
     implication is sampled.
     """
-    budget.validate()
-    if variant not in DT_VARIANTS:
-        raise ValueError(f"not a deduction-theorem variant: {variant!r}")
-    rel = _rel(spec)
-    biconditional = variant in (PropertyId.FULL_DT, PropertyId.MODIFIED_FULL_DT)
+    budget, prop = cell.budget, cell.prop
+    biconditional = prop in (PropertyId.FULL_DT, PropertyId.MODIFIED_FULL_DT)
+    modified = prop in (PropertyId.MODIFIED_FULL_DT, PropertyId.MODIFIED_WEAK_DT_FWD)
+    directions = (True, False) if biconditional else (True,)
 
-    def forward_counterexample(gamma: FormulaSet, alpha: Formula, beta: Formula):
-        if rel(gamma.union([alpha]), beta) and not rel(
-            gamma, _dt_consequent(variant, alpha, beta)
-        ):
-            return [
-                claim_rel(spec, gamma.union([alpha]), beta, True),
-                claim_rel(spec, gamma, _dt_consequent(variant, alpha, beta), False),
-            ]
-        return None
+    def instance(forward: bool, gamma: FormulaSet, alpha: Formula, beta: Formula):
+        """The pairs (premises, conclusion) that hold and fail in a counterexample."""
+        consequent = Imp(alpha, Imp(alpha, beta)) if modified else Imp(alpha, beta)
+        extended, discharged = (gamma.union([alpha]), beta), (gamma, consequent)
+        return (extended, discharged) if forward else (discharged, extended)
 
-    def converse_counterexample(gamma: FormulaSet, alpha: Formula, beta: Formula):
-        if rel(gamma, _dt_consequent(variant, alpha, beta)) and not rel(
-            gamma.union([alpha]), beta
-        ):
-            return [
-                claim_rel(spec, gamma, _dt_consequent(variant, alpha, beta), True),
-                claim_rel(spec, gamma.union([alpha]), beta, False),
-            ]
-        return None
+    def claims(held: tuple, lost: tuple) -> list[dict]:
+        return [cell.claim(*held, True), cell.claim(*lost, False)]
 
-    for gamma, alpha, beta in _DT_FORWARD_CANDIDATES:
-        claims = forward_counterexample(gamma, alpha, beta)
-        if claims:
-            return _verdict(
-                spec=spec,
-                prop=variant,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.WITNESS,
-                witness={
-                    "description": "premise discharge fails: "
-                    f"alpha = {render(alpha)}, beta = {render(beta)}",
-                    "claims": claims,
-                },
-            )
-    if biconditional:
-        for gamma, alpha, beta in _DT_CONVERSE_CANDIDATES:
-            claims = converse_counterexample(gamma, alpha, beta)
-            if claims:
-                return _verdict(
-                    spec=spec,
-                    prop=variant,
-                    budget=budget,
-                    outcome=Outcome.FAILS,
-                    method=Method.WITNESS,
-                    witness={
-                        "description": "converse fails: "
-                        f"alpha = beta = {render(alpha)}",
-                        "claims": claims,
-                    },
-                )
-    rng = _rng_for(budget, variant, spec.name)
-    names = _pool(budget)
-    for _ in range(budget.samples):
+    probes = [
+        (
+            f"premise discharge fails: alpha = {render(alpha)}, beta = {render(beta)}"
+            if forward
+            else f"converse fails: alpha = beta = {render(alpha)}",
+            claims(*instance(forward, FormulaSet(), alpha, beta)),
+        )
+        for forward, alpha, beta in _DT_CANDIDATES
+        if forward in directions
+    ]
+
+    def draw(rng: random.Random, names: list[str]) -> list[dict]:
         gamma = _sample_set(rng, names, budget.depth, budget.gamma_size - 1)
         alpha = draw_formula(rng, names, budget.depth - 1)
         roll = rng.random()
@@ -1192,29 +852,16 @@ def check_deduction_variant(
             beta = And(alpha, draw_formula(rng, names, 1))
         else:
             beta = draw_formula(rng, names, budget.depth - 1)
-        claims = forward_counterexample(gamma, alpha, beta)
-        if claims is None and biconditional:
-            claims = converse_counterexample(gamma, alpha, beta)
-        if claims:
-            return _verdict(
-                spec=spec,
-                prop=variant,
-                budget=budget,
-                outcome=Outcome.FAILS,
-                method=Method.SAMPLED,
-                witness={"description": "sampled counterexample", "claims": claims},
-            )
-    return _verdict(
-        spec=spec,
-        prop=variant,
-        budget=budget,
-        outcome=Outcome.HOLDS,
-        method=Method.SAMPLED,
-        samples_run=budget.samples,
-    )
+        for forward in directions:
+            held, lost = instance(forward, gamma, alpha, beta)
+            if cell.rel(*held) and not cell.rel(*lost):
+                return claims(held, lost)
+        return []
+
+    return _sampled(cell, "sampled counterexample", draw, probes)
 
 
-_CHECKERS: dict[PropertyId, Callable[[LogicSpec, AuditBudget], Verdict]] = {
+_CHECKERS: dict[PropertyId, Callable[[_Cell], Decision]] = {
     PropertyId.EXPLOSIVE: _check_explosive,
     PropertyId.JOINT_CONSISTENCY: _check_joint_consistency,
     PropertyId.CONJUNCTIVE_PROPERTY: _check_conjunctive,
@@ -1223,20 +870,28 @@ _CHECKERS: dict[PropertyId, Callable[[LogicSpec, AuditBudget], Verdict]] = {
     PropertyId.P_IDEMPOTENT: _check_p_idempotent,
     PropertyId.INCLUSION: _check_inclusion,
     PropertyId.MONOTONICITY: _check_monotonicity,
-    PropertyId.IDEMPOTENCY: _check_idempotency,
-    PropertyId.TRANSITIVITY: _check_transitivity,
+    PropertyId.IDEMPOTENCY: _check_cut,
+    PropertyId.TRANSITIVITY: _check_cut,
     PropertyId.WEAK_TRANSITIVITY: _check_weak_transitivity,
+    PropertyId.MODUS_PONENS: _check_modus_ponens,
+    PropertyId.FULL_DT: _check_deduction,
+    PropertyId.MODIFIED_FULL_DT: _check_deduction,
+    PropertyId.WEAK_DT_FWD: _check_deduction,
+    PropertyId.MODIFIED_WEAK_DT_FWD: _check_deduction,
 }
 
 
 def check_property(spec: LogicSpec, prop: PropertyId, budget: AuditBudget) -> Verdict:
-    """Verdict for one (logic, property) cell."""
+    """Verdict for one (logic, property) cell; the only place verdicts are
+    made, and every FAILS must carry a witness whose claims replay."""
     budget.validate()
-    if prop is PropertyId.MODUS_PONENS:
-        return check_modus_ponens(spec, budget)
-    if prop in DT_VARIANTS:
-        return check_deduction_variant(spec, prop, budget)
-    return _CHECKERS[prop](spec, budget)
+    decided = _CHECKERS[prop](_Cell(spec, prop, budget))
+    if decided.outcome is Outcome.FAILS:
+        if decided.witness is None or not replay_witness(spec.matrix, decided.witness):
+            raise AssertionError(
+                f"FAILS verdict for {prop.value}/{spec.name} lacks a replayable witness"
+            )
+    return Verdict(prop, spec.name, bounds=budget.bounds, **vars(decided))
 
 
 # ---------------------------------------------------------------------------
@@ -1253,19 +908,10 @@ class AuditReport:
     def to_json(self) -> dict:
         grid = {
             f"{prop.value}/{col}": verdict.to_json()
-            for (prop, col), verdict in sorted(
-                self.verdicts.items(),
-                key=lambda kv: (TABLE_ROWS.index(kv[0][0]), self.columns.index(kv[0][1])),
-            )
+            for (prop, col), verdict in self.verdicts.items()
         }
         return {
-            "budget": {
-                "samples": self.budget.samples,
-                "depth": self.budget.depth,
-                "letters": self.budget.letters,
-                "gamma_size": self.budget.gamma_size,
-                "seed": self.budget.seed,
-            },
+            "budget": asdict(self.budget),
             "columns": list(self.columns),
             "grid": grid,
             "discrepancies": self.discrepancies,
@@ -1313,15 +959,10 @@ def run_table(budget: AuditBudget | None = None) -> AuditReport:
     verdicts: dict[tuple[PropertyId, str], Verdict] = {}
     discrepancies: list[dict] = []
     for prop in TABLE_ROWS:
-        for spec, col in zip(columns, COLUMN_NAMES):
+        for spec, col, expected in zip(columns, COLUMN_NAMES, PUBLISHED_TABLE[prop]):
             verdict = check_property(spec, prop, budget)
             verdicts[(prop, col)] = verdict
-            expected = PUBLISHED_TABLE[prop][COLUMN_NAMES.index(col)]
-            computed = {
-                Outcome.HOLDS: True,
-                Outcome.FAILS: False,
-                Outcome.UNDECIDED: None,
-            }[verdict.outcome]
+            computed = {Outcome.HOLDS: True, Outcome.FAILS: False}.get(verdict.outcome)
             if computed != expected:
                 discrepancies.append(
                     {
@@ -1358,38 +999,39 @@ def _suite_l3() -> list[tuple[str, list[dict]]]:
     conv = Imp(not_self, Imp(not_self, not_self))
     return [
         ("explosion: {p, ~p} has no models and yields q",
-         [claim_consistent(gamma, False), claim_entails(gamma, Q, True)]),
+         [claim_consistent(0, gamma, False), claim_entails(0, gamma, Q, True)]),
         ("~(p -> p) has no models and is a contradiction",
-         [claim_consistent(FormulaSet([not_self]), False),
+         [claim_consistent(0, FormulaSet([not_self]), False),
           {"kind": "classify", "alpha": render(not_self), "expected": "contradiction"}]),
         ("{p, ~p} does not para-yield q",
-         [claim_para(gamma, Q, False)]),
+         [claim_entails(1, gamma, Q, False)]),
         ("{p, ~p} para-yields p | q and ~p",
-         [claim_para(gamma, parse("p | q"), True), claim_para(gamma, Neg(P), True)]),
+         [claim_entails(1, gamma, parse("p | q"), True),
+          claim_entails(1, gamma, Neg(P), True)]),
         ("{p | q, ~p} yields q",
-         [claim_entails(delta, Q, True), claim_consistent(delta, True)]),
+         [claim_entails(0, delta, Q, True), claim_consistent(0, delta, True)]),
         ("inclusion failure: {~(p -> p)} does not para-yield itself",
-         [claim_para(FormulaSet([not_self]), not_self, False)]),
+         [claim_entails(1, FormulaSet([not_self]), not_self, False)]),
         ("consistent subsets of {p, ~p} are exactly {}, {p}, {~p}",
          [{"kind": "consistent_subsets", "gamma": _gamma_strs(gamma),
            "expected": [[], ["p"], ["~p"]]}]),
         ("joint consistency: {p}, {~p} consistent, {p, ~p} not",
-         [claim_consistent(FormulaSet([P]), True),
-          claim_consistent(FormulaSet([Neg(P)]), True),
-          claim_consistent(gamma, False)]),
+         [claim_consistent(0, FormulaSet([P]), True),
+          claim_consistent(0, FormulaSet([Neg(P)]), True),
+          claim_consistent(0, gamma, False)]),
         ("modified deduction: forward and converse instances",
-         [claim_entails(FormulaSet([Q, P]), And(P, Q), True),
-          claim_entails(FormulaSet([Q]), Imp(P, Imp(P, And(P, Q))), True),
-          claim_entails(FormulaSet(), Imp(P, Imp(P, P)), True),
-          claim_entails(FormulaSet([P]), P, True)]),
+         [claim_entails(0, FormulaSet([Q, P]), And(P, Q), True),
+          claim_entails(0, FormulaSet([Q]), Imp(P, Imp(P, And(P, Q))), True),
+          claim_entails(0, FormulaSet(), Imp(P, Imp(P, P)), True),
+          claim_entails(0, FormulaSet([P]), P, True)]),
         ("modified-deduction converse counterexample with alpha = beta = ~(p -> p)",
-         [claim_para(FormulaSet(), conv, True),
-          claim_entails(FormulaSet(), conv, True),
-          claim_para(FormulaSet([not_self]), not_self, False)]),
+         [claim_entails(1, FormulaSet(), conv, True),
+          claim_entails(0, FormulaSet(), conv, True),
+          claim_entails(1, FormulaSet([not_self]), not_self, False)]),
         ("transitivity failure: q escapes {p, ~p} though each stage holds",
-         [claim_para(gamma, parse("p | q"), True),
-          claim_para(delta, Q, True),
-          claim_para(gamma, Q, False)]),
+         [claim_entails(1, gamma, parse("p | q"), True),
+          claim_entails(1, delta, Q, True),
+          claim_entails(1, gamma, Q, False)]),
     ]
 
 
@@ -1402,17 +1044,17 @@ def _suite_g3() -> list[tuple[str, list[dict]]]:
         ("negation of the middle value is 0",
          [{"kind": "eval", "valuation": {"p": "1/2"}, "formula": "~p", "expected": "0"}]),
         ("(p & ~p) -> (p & ~p) is a tautology",
-         [claim_entails(FormulaSet(), taut, True)]),
+         [claim_entails(0, FormulaSet(), taut, True)]),
         ("inclusion failure: {p & ~p} does not para-yield itself",
-         [claim_para(FormulaSet([contradiction]), contradiction, False)]),
+         [claim_entails(1, FormulaSet([contradiction]), contradiction, False)]),
         ("full deduction instances",
-         [claim_entails(FormulaSet([Q, P]), And(P, Q), True),
-          claim_entails(FormulaSet([Q]), Imp(P, And(P, Q)), True),
-          claim_entails(FormulaSet(), Imp(P, P), True),
-          claim_entails(FormulaSet([P]), P, True)]),
+         [claim_entails(0, FormulaSet([Q, P]), And(P, Q), True),
+          claim_entails(0, FormulaSet([Q]), Imp(P, And(P, Q)), True),
+          claim_entails(0, FormulaSet(), Imp(P, P), True),
+          claim_entails(0, FormulaSet([P]), P, True)]),
         ("weak-deduction converse failure for the transformed logic",
-         [claim_para(FormulaSet(), taut, True),
-          claim_para(FormulaSet([contradiction]), contradiction, False)]),
+         [claim_entails(1, FormulaSet(), taut, True),
+          claim_entails(1, FormulaSet([contradiction]), contradiction, False)]),
     ]
 
 
@@ -1422,25 +1064,25 @@ def _suite_k3() -> list[tuple[str, list[dict]]]:
     delta = FormulaSet([parse("p | q"), Neg(P)])
     return [
         ("p -> p is not a tautology",
-         [claim_entails(FormulaSet(), Imp(P, P), False),
+         [claim_entails(0, FormulaSet(), Imp(P, P), False),
           {"kind": "eval", "valuation": {"p": "1/2"}, "formula": "p -> p",
            "expected": "1/2"}]),
         ("no tautologies: the empty set has no consequences",
-         [claim_entails(FormulaSet(), parse("p | ~p"), False),
-          claim_entails(FormulaSet(), parse("~(p & ~p)"), False),
-          claim_entails(FormulaSet(), parse("q -> q"), False),
+         [claim_entails(0, FormulaSet(), parse("p | ~p"), False),
+          claim_entails(0, FormulaSet(), parse("~(p & ~p)"), False),
+          claim_entails(0, FormulaSet(), parse("q -> q"), False),
           {"kind": "tautology_free", "letters": ["p", "q"], "depth": 2,
            "expected": True}]),
         ("the unique consistent subset of {p & ~p} is the empty set",
          [{"kind": "consistent_subsets", "gamma": [render(contradiction)],
            "expected": [[]]}]),
         ("inclusion failure: {p & ~p} does not para-yield itself",
-         [claim_para(FormulaSet([contradiction]), contradiction, False)]),
+         [claim_entails(1, FormulaSet([contradiction]), contradiction, False)]),
         ("transitivity failure transfers: stages hold but q escapes {p, ~p}",
-         [claim_para(delta, Q, True),
-          claim_para(gamma, parse("p | q"), True),
-          claim_para(gamma, parse("p | ~p"), True),
-          claim_para(gamma, Q, False)]),
+         [claim_entails(1, delta, Q, True),
+          claim_entails(1, gamma, parse("p | q"), True),
+          claim_entails(1, gamma, parse("p | ~p"), True),
+          claim_entails(1, gamma, Q, False)]),
     ]
 
 
@@ -1452,13 +1094,7 @@ def verify_witness_suite(spec: LogicSpec) -> list[WitnessResult]:
     suite = _SUITES.get(spec.matrix.name)
     if suite is None:
         raise ValueError(f"no stored witness suite for {spec.matrix.name!r}")
-    out = []
-    for description, claims in suite():
-        out.append(
-            WitnessResult(
-                description=description,
-                passed=replay_claims(spec.matrix, claims),
-                claims=claims,
-            )
-        )
-    return out
+    return [
+        WitnessResult(description, replay_claims(spec.matrix, claims), claims)
+        for description, claims in suite()
+    ]

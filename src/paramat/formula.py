@@ -3,7 +3,9 @@
 The language has negation, disjunction, conjunction and implication over
 propositional letters.  ASCII connectives are ``~ | & ->`` with the Unicode
 aliases ``¬ ∨ ∧ →`` accepted on input.  Precedence is ``~ > & > | > ->`` and
-``->`` associates to the right.
+``->`` associates to the right.  The parser rejects formulas, and
+parentheses, nested deeper than ``MAX_DEPTH``, so every recursive walk over a
+parsed formula stays inside Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ _TOKEN_RE = re.compile(r"->|→|[~¬|∨&∧()]|[a-z][a-zA-Z0-9_]*")
 _ALIASES = {"→": "->", "¬": "~", "∨": "|", "∧": "&"}
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
+def _tokenize(text: str) -> tuple[list[str | None], list[int]]:
+    """Token kinds, ended by a None sentinel, and their start positions."""
+    kinds: list[str | None] = []
+    positions = []
     pos = 0
     n = len(text)
     while pos < n:
@@ -105,81 +109,121 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tok = _ALIASES.get(m.group(), m.group())
-        tokens.append((tok, pos))
+        kinds.append(_ALIASES.get(m.group(), m.group()))
+        positions.append(pos)
         pos = m.end()
-    return tokens
+    kinds.append(None)
+    return kinds, positions
+
+
+# Parsing spends five stack frames per level of parentheses, and render,
+# letters, depth and evaluate one per connective, so formulas at most this
+# deep stay well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Each rule returns its formula and
+    that formula's depth, so nothing deeper than MAX_DEPTH is built; only
+    parentheses recurse, and they too stop at MAX_DEPTH."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        # the None sentinel ending `kinds` spares lookahead a bounds check
+        self.kinds, self.positions = _tokenize(text)
         self.index = 0
-
-    def _peek(self) -> str | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
+        self.open_parens = 0
 
     def _pos(self) -> int:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][1]
+        if self.index < len(self.positions):
+            return self.positions[self.index]
         return len(self.text)
 
-    def _advance(self) -> str:
-        tok = self.tokens[self.index][0]
-        self.index += 1
-        return tok
+    def _too_deep(self) -> ParseError:
+        return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", self._pos())
 
-    def imp(self) -> Formula:
-        left = self.dis()
-        if self._peek() == "->":
-            self._advance()
-            return Imp(left, self.imp())
-        return left
+    def imp(self) -> tuple[Formula, int]:
+        f, d = self.dis()
+        if self.kinds[self.index] != "->":
+            return f, d
+        operands = [(f, d)]
+        while self.kinds[self.index] == "->":
+            self.index += 1
+            operands.append(self.dis())
+        f, d = operands.pop()
+        for left, e in reversed(operands):  # "->" associates to the right
+            d = 1 + (d if d > e else e)
+            if d > MAX_DEPTH:
+                raise self._too_deep()
+            f = Imp(left, f)
+        return f, d
 
-    def dis(self) -> Formula:
-        f = self.con()
-        while self._peek() == "|":
-            self._advance()
-            f = Or(f, self.con())
-        return f
+    def dis(self) -> tuple[Formula, int]:
+        f, d = self.con()
+        while self.kinds[self.index] == "|":
+            self.index += 1
+            right, e = self.con()
+            d = 1 + (d if d > e else e)
+            if d > MAX_DEPTH:
+                raise self._too_deep()
+            f = Or(f, right)
+        return f, d
 
-    def con(self) -> Formula:
-        f = self.neg()
-        while self._peek() == "&":
-            self._advance()
-            f = And(f, self.neg())
-        return f
+    def con(self) -> tuple[Formula, int]:
+        f, d = self.neg()
+        while self.kinds[self.index] == "&":
+            self.index += 1
+            right, e = self.neg()
+            d = 1 + (d if d > e else e)
+            if d > MAX_DEPTH:
+                raise self._too_deep()
+            f = And(f, right)
+        return f, d
 
-    def neg(self) -> Formula:
-        if self._peek() == "~":
-            self._advance()
-            return Neg(self.neg())
-        return self.atom()
+    def neg(self) -> tuple[Formula, int]:
+        start = self.index
+        while self.kinds[self.index] == "~":
+            self.index += 1
+        count = self.index - start
+        f, d = self.atom()
+        if count:
+            d += count
+            if d > MAX_DEPTH:
+                raise self._too_deep()
+            for _ in range(count):
+                f = Neg(f)
+        return f, d
 
-    def atom(self) -> Formula:
-        tok = self._peek()
+    def atom(self) -> tuple[Formula, int]:
+        tok = self.kinds[self.index]
         if tok == "(":
-            self._advance()
-            f = self.imp()
-            if self._peek() != ")":
+            if self.open_parens == MAX_DEPTH:
+                raise self._too_deep()
+            self.open_parens += 1
+            self.index += 1
+            f, d = self.imp()
+            if self.kinds[self.index] != ")":
                 raise ParseError("expected ')'", self._pos())
-            self._advance()
-            return f
+            self.index += 1
+            self.open_parens -= 1
+            return f, d
         if tok is not None and tok[0].isalpha():
-            self._advance()
-            return Letter(tok)
+            self.index += 1
+            return Letter(tok), 0
         raise ParseError("expected a letter or '('", self._pos())
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text into an AST."""
+    """Parse formula text into an AST.
+
+    Raises ParseError on malformed text and on formulas, or parentheses,
+    nested deeper than MAX_DEPTH.
+    """
     parser = _Parser(text)
-    f = parser.imp()
-    if parser.index != len(parser.tokens):
-        raise ParseError(f"unexpected token {parser._peek()!r}", parser._pos())
+    f, _ = parser.imp()
+    if parser.index != len(parser.positions):
+        tok = parser.kinds[parser.index]
+        raise ParseError(f"unexpected token {tok!r}", parser._pos())
     return f
 
 

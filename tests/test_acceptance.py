@@ -4,10 +4,12 @@ Each test is self-contained, uses its own oracle or frozen expected values,
 and asserts the stated runtime bound where one applies.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from paramat.audit import (
     AuditBudget,
@@ -105,6 +107,12 @@ def test_criterion_2_witness_suite():
 
 # --------------------------------------------------------------------------
 # 3. Summary-table reproduction at the default budget (< 2 min)
+#
+# The report must also match, byte for byte, the stored output of
+# `paramat audit --format json --seed 0`; that file changes only together
+# with a CHANGES.md entry explaining the change in output.
+
+GOLDEN_AUDIT = Path(__file__).parent / "data" / "audit_seed0.json"
 
 
 def test_criterion_3_summary_table():
@@ -128,6 +136,9 @@ def test_criterion_3_summary_table():
         assert d["evidence"] is not None
         assert replay_claims(m, d["evidence"]["claims"])
     assert elapsed < 120.0
+    # serialized exactly as the CLI prints it
+    text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    assert text == GOLDEN_AUDIT.read_text(encoding="utf-8")
     _report(
         3,
         True,

@@ -1,7 +1,11 @@
 """Auditor tests: claim replay, per-cell verdicts, and the full results grid."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from paramat import audit
 from paramat.audit import (
     COLUMN_NAMES,
     KNOWN_DISCREPANCIES,
@@ -24,6 +28,10 @@ from paramat.para import LogicSpec
 L3, G3, K3 = (builtin(n) for n in ("l3", "g3", "k3"))
 
 SMALL = AuditBudget(samples=40, depth=3, letters=3, gamma_size=5, seed=0)
+
+# The JSON of run_table(SMALL); it changes only together with a CHANGES.md
+# entry explaining the change in output.
+GOLDEN_SMALL = Path(__file__).parent / "data" / "run_table_small.json"
 
 
 class TestBudget:
@@ -165,12 +173,6 @@ class TestCells:
         assert v.outcome is Outcome.FAILS
         assert v.method is Method.WITNESS
 
-    def test_deduction_variant_guard(self):
-        from paramat.audit import check_deduction_variant
-
-        with pytest.raises(ValueError):
-            check_deduction_variant(LogicSpec(L3, 0), PropertyId.INCLUSION, SMALL)
-
     def test_fails_verdicts_carry_replayable_witnesses(self):
         for spec in table_columns():
             for prop in TABLE_ROWS:
@@ -225,6 +227,24 @@ class TestRunTable:
         cell = doc["grid"]["explosive/L3"]
         assert cell["outcome"] == "HOLDS"
         assert cell["bounds"] == [3, 3, 5]
+
+    def test_matches_golden_json(self, report):
+        text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+        assert text == GOLDEN_SMALL.read_text(encoding="utf-8")
+
+    def test_gate_replays_every_fails_witness(self, report, monkeypatch):
+        # with witness replay forced to fail, check_property must refuse
+        # every FAILS verdict, whichever checker decided it
+        failing = [
+            cell for cell, v in report.verdicts.items() if v.outcome is Outcome.FAILS
+        ]
+        for col in ("L3", "G3", "K3"):
+            assert (PropertyId.PARACONSISTENT, col) in failing
+        specs = dict(zip(COLUMN_NAMES, table_columns()))
+        monkeypatch.setattr(audit, "replay_witness", lambda m, witness: False)
+        for prop, col in failing:
+            with pytest.raises(AssertionError, match="lacks a replayable witness"):
+                check_property(specs[col], prop, SMALL)
 
     def test_text_grid(self, report):
         text = report.format_text()

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from paramat.cli import main
+from paramat.formula import MAX_DEPTH
 from paramat.matrix import builtin, matrix_to_document
 
 
@@ -62,6 +63,39 @@ class TestEntails:
     def test_unknown_logic_exit_2(self, runner):
         result = runner.invoke(main, ["entails", "--logic", "zzz", "p", "q"])
         assert result.exit_code == 2
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["entails", "--logic", "l3", "", "~" * 3000 + "p"],
+            ["classify", "(" * 250 + "p" + ")" * 250],
+            ["classify", "|".join(["p"] * 3000)],
+        ],
+        ids=["negations", "parentheses", "flat-disjunction"],
+    )
+    def test_too_deep_exit_3(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.output.startswith("error: cannot parse formula: ")
+        assert "nested deeper than" in result.output
+        assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "~" * MAX_DEPTH + "p",
+            "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+            "|".join(["p"] * (MAX_DEPTH + 1)),
+            "->".join(["p"] * (MAX_DEPTH + 1)),
+        ],
+        ids=["negations", "parentheses", "flat-disjunction", "implications"],
+    )
+    def test_at_the_limit_classifies(self, runner, text):
+        result = runner.invoke(main, ["classify", "--logic", "l3", text])
+        assert result.exit_code == 0
+        assert result.output.strip() in ("tautology", "contingent")
 
 
 class TestOtherQueries:
@@ -163,8 +197,12 @@ class TestMatrixCommands:
 
 class TestAudit:
     def test_bad_budget_exit_2(self, runner):
-        result = runner.invoke(main, ["audit", "--samples", "0"])
-        assert result.exit_code == 2
+        # --gamma-size 1 leaves modus ponens no room for side premises
+        for args in (["--samples", "0"], ["--gamma-size", "1"]):
+            result = runner.invoke(main, ["audit", *args])
+            assert result.exit_code == 2
+            assert result.output.startswith("error: ")
+            assert result.output.count("\n") == 1
 
     def test_audit_exit_0_with_known_discrepancies(self, runner):
         result = runner.invoke(main, ["audit", "--samples", "25"])

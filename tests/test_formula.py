@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paramat.formula import (
+    MAX_DEPTH,
     And,
     FormulaSet,
     Imp,
@@ -72,6 +73,26 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse("p | *")
         assert exc.value.position == 4
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda k: "~" * k + "p",
+            lambda k: "(" * k + "p" + ")" * k,
+            lambda k: "~(" * k + "p" + ")" * k,
+            lambda k: " | ".join(["p"] * (k + 1)),
+            lambda k: " & ".join(["p"] * (k + 1)),
+            lambda k: " -> ".join(["p"] * (k + 1)),
+        ],
+        ids=["neg", "parens", "neg-parens", "or", "and", "imp"],
+    )
+    def test_depth_limit(self, nest):
+        f = parse(nest(MAX_DEPTH))
+        assert parse(render(f)) == f
+        assert letters(f) == {"p"}
+        assert depth(f) <= MAX_DEPTH
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse(nest(MAX_DEPTH + 1))
 
 
 class TestRender:
