@@ -41,12 +41,15 @@ from .para import (
     para_entails,
 )
 from .semantics import (
+    _binary_masks,
+    _designated,
+    _domain_masks,
+    _neg_masks,
     classify,
     entails,
     evaluate,
     is_consistent,
     tautology_free_check,
-    valuations,
 )
 
 
@@ -104,6 +107,10 @@ class Method(Enum):
     BOUNDED = "BOUNDED"
 
 
+# the letters sampled formulas are drawn over; `AuditBudget.letters` takes a prefix
+LETTER_POOL = ("p", "q", "r", "s", "t")
+
+
 @dataclass(frozen=True)
 class AuditBudget:
     samples: int = 500
@@ -118,6 +125,8 @@ class AuditBudget:
         if self.gamma_size < 2:
             # modus ponens samples side premises next to a and a -> b
             raise ValueError("gamma_size must be at least 2")
+        if self.letters > len(LETTER_POOL):
+            raise ValueError(f"letters must be at most {len(LETTER_POOL)}")
 
     @property
     def bounds(self) -> tuple[int, int, int]:
@@ -305,7 +314,7 @@ class _Cell:
 
     def letters(self) -> list[str]:
         """The letters that sampled formulas are drawn over."""
-        return ["p", "q", "r", "s", "t"][: self.budget.letters]
+        return list(LETTER_POOL[: self.budget.letters])
 
 
 def _sample_set(
@@ -524,20 +533,10 @@ def _bounded_conjunctive_refutation(cell: _Cell) -> Decision:
             Method.BOUNDED,
             notes="probe premises do not hold for this matrix",
         )
-    grid = list(valuations(m, {"p", "q"}))
-    full = (1 << len(grid)) - 1
-
-    def mask_of(vec: tuple) -> int:
-        mask = 0
-        for i, value in enumerate(vec):
-            if value in m.designated:
-                mask |= 1 << i
-        return mask
-
-    def vec_of(f: Formula) -> tuple:
-        return tuple(evaluate(m, v, f) for v in grid)
-
-    mask_a, mask_b, mask_q = (mask_of(vec_of(f)) for f in (probe_a, probe_b, probe_q))
+    (vec_p, vec_q, *probes), full = _domain_masks(
+        m, [P, Q, probe_a, probe_b, probe_q], {"p", "q"}
+    )
+    mask_a, mask_b, mask_q = (_designated(m, vec) for vec in probes)
 
     def candidate_passes(mask: int) -> bool:
         if mask == 0:
@@ -547,14 +546,14 @@ def _bounded_conjunctive_refutation(cell: _Cell) -> Decision:
         return mask & ~mask_a == 0 and mask & ~mask_b == 0 and mask & ~mask_q != 0
 
     reached: dict[tuple, Formula] = {}
-    level: dict[tuple, Formula] = {vec_of(P): P, vec_of(Q): Q}
+    level: dict[tuple, Formula] = {tuple(vec_p): P, tuple(vec_q): Q}
     checked = 0
     for step in range(cell.budget.depth + 1):
         if step:
             level = _next_level(m, reached, level)
         for vec, rep in level.items():
             checked += 1
-            if candidate_passes(mask_of(vec)):
+            if candidate_passes(_designated(m, vec)):
                 return Decision(
                     Outcome.UNDECIDED,
                     Method.BOUNDED,
@@ -568,20 +567,21 @@ def _bounded_conjunctive_refutation(cell: _Cell) -> Decision:
 def _next_level(
     m: Matrix, reached: dict[tuple, Formula], frontier: dict[tuple, Formula]
 ) -> dict[tuple, Formula]:
-    """Vectors first reached one connective above `frontier`, with formulas."""
+    """Value-mask vectors first reached one connective above `frontier`,
+    with formulas."""
     new: dict[tuple, Formula] = {}
     cum = list(reached.items())
     # negations of the frontier, then binaries touching the frontier
     for vec in frontier:
-        nv = tuple(m.neg[x] for x in vec)
+        nv = tuple(_neg_masks(m.neg_ix, vec))
         if nv not in reached and nv not in new:
             new[nv] = Neg(reached[vec])
-    for table, ctor in ((m.or_, Or), (m.and_, And), (m.imp, Imp)):
+    for table, ctor in ((m.or_ix, Or), (m.and_ix, And), (m.imp_ix, Imp)):
         for va, ra in cum:
             for vb, rb in cum:
                 if va not in frontier and vb not in frontier:
                     continue
-                out = tuple(table[(x, y)] for x, y in zip(va, vb))
+                out = tuple(_binary_masks(table, va, vb))
                 if out not in reached and out not in new:
                     new[out] = ctor(ra, rb)
     return new

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -44,9 +44,20 @@ def format_value(value: Value) -> str:
     return str(value)
 
 
+def _derived():
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """A logical matrix: values, designated values, and connective tables."""
+    """A logical matrix: values, designated values, and connective tables.
+
+    A matrix is validated when it is built.  Its values then also have
+    indices 0..n-1, in the order of `values`, and the ``*_ix`` fields hold
+    the same tables over those indices; the semantics computes with these,
+    so `Fraction` values are needed only at the edges (parsing, printing,
+    JSON and the valuations handed back to callers).
+    """
 
     name: str
     values: tuple[Value, ...]
@@ -55,6 +66,30 @@ class Matrix:
     or_: dict[tuple[Value, Value], Value]
     and_: dict[tuple[Value, Value], Value]
     imp: dict[tuple[Value, Value], Value]
+    designated_ix: tuple[int, ...] = _derived()
+    neg_ix: tuple[int, ...] = _derived()
+    or_ix: tuple[tuple[int, ...], ...] = _derived()
+    and_ix: tuple[tuple[int, ...], ...] = _derived()
+    imp_ix: tuple[tuple[int, ...], ...] = _derived()
+
+    def __post_init__(self) -> None:
+        self.validate()
+        index = {x: i for i, x in enumerate(self.values)}
+
+        def binary(table):
+            return tuple(
+                tuple(index[table[(x, y)]] for y in self.values) for x in self.values
+            )
+
+        derived = {
+            "designated_ix": tuple(index[x] for x in self.values if x in self.designated),
+            "neg_ix": tuple(index[self.neg[x]] for x in self.values),
+            "or_ix": binary(self.or_),
+            "and_ix": binary(self.and_),
+            "imp_ix": binary(self.imp),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def validate(self) -> None:
         value_set = set(self.values)
@@ -91,7 +126,7 @@ class Matrix:
 
 def _build(name, values, designated, fneg, fimp) -> Matrix:
     values = tuple(sorted(values))
-    m = Matrix(
+    return Matrix(
         name=name,
         values=values,
         designated=frozenset(designated),
@@ -100,8 +135,6 @@ def _build(name, values, designated, fneg, fimp) -> Matrix:
         and_={(x, y): min(x, y) for x in values for y in values},
         imp={(x, y): fimp(x, y) for x in values for y in values},
     )
-    m.validate()
-    return m
 
 
 def _evenly_spaced(n: int) -> list[Value]:
@@ -235,9 +268,7 @@ def load_matrix(document: str | Mapping) -> Matrix:
             table[(parse_value(x_tok), parse_value(y_tok))] = _out(out, label)
         tables[label] = table
 
-    m = Matrix(name, values, designated, neg, tables["or"], tables["and"], tables["imp"])
-    m.validate()
-    return m
+    return Matrix(name, values, designated, neg, tables["or"], tables["and"], tables["imp"])
 
 
 def load_matrix_file(path: str | Path) -> Matrix:

@@ -14,7 +14,10 @@ from typing import Iterator
 
 from .formula import Formula, FormulaSet, Letter, letters
 from .matrix import Matrix
-from .semantics import entails, evaluate, valuations
+from .semantics import _designated, _domain_masks, entails
+
+# Not called here; perfbench's tracer test wraps `evaluate` at this binding.
+from .semantics import evaluate  # noqa: F401
 
 DEFAULT_SUBSET_BOUND = 16
 
@@ -66,16 +69,8 @@ def _formula_masks(
     Bit i corresponds to the i-th valuation in `semantics.valuations` order.
     Returns the masks and the all-ones mask.
     """
-    grid = list(valuations(m, names))
-    full = (1 << len(grid)) - 1
-    masks = []
-    for f in formulas:
-        mask = 0
-        for i, v in enumerate(grid):
-            if evaluate(m, v, f) in m.designated:
-                mask |= 1 << i
-        masks.append(mask)
-    return masks, full
+    value_masks, full = _domain_masks(m, formulas, names)
+    return [_designated(m, masks) for masks in value_masks], full
 
 
 def _subset_and_masks(member_masks: list[int], full: int) -> list[int]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .formula import And, Formula, FormulaSet, Letter, Neg, Or, letters
 from .matrix import Matrix, Value
@@ -47,8 +47,145 @@ def valuations(m: Matrix, names: Iterable[str]) -> Iterator[Valuation]:
         yield dict(zip(sorted_names, combo))
 
 
-def _is_model(m: Matrix, v: Valuation, gamma: FormulaSet) -> bool:
-    return all(evaluate(m, v, g) in m.designated for g in gamma)
+# ---------------------------------------------------------------------------
+# The evaluation engine.  Every query below reads it; `evaluate` is the
+# per-valuation reference the tests compare it against.
+#
+# The valuations over a sorted letter domain are numbered in `valuations`
+# order, so valuation i spells i in base n = |values|, one digit (a value
+# index) per letter, the first letter most significant.  A formula's value
+# masks are n integers: bit i of mask v is set when the formula takes value v
+# at valuation i (Knuth, TAOCP 4A, 7.1.3).  The space is walked in blocks of
+# at most _BLOCK valuations: the trailing letters vary inside a block, the
+# leading ones are fixed per block, so memory stays bounded at any number of
+# letters and a query that is decided early stops early.
+
+_BLOCK = 1 << 12
+
+LetterMasks = dict[str, Sequence[int]]
+
+
+def _blocks(m: Matrix, names: Iterable[str]) -> Iterator[tuple[int, LetterMasks, int]]:
+    """The blocks of the valuation space over `names`, in `valuations` order.
+
+    Each is (number of its first valuation, value masks of every letter,
+    all-ones mask of the block).
+    """
+    n = len(m.values)
+    sorted_names = sorted(set(names))
+    inner = 0
+    while inner < len(sorted_names) and n ** (inner + 1) <= _BLOCK:
+        inner += 1
+    lead = sorted_names[: len(sorted_names) - inner]
+    size = n**inner
+    full = (1 << size) - 1
+    varying: LetterMasks = {}
+    for j, name in enumerate(sorted_names[len(lead) :]):
+        stride = n ** (inner - 1 - j)  # valuations per run of one value
+        every_period = full // ((1 << (n * stride)) - 1)  # bit 0 of each period
+        run = (1 << stride) - 1
+        varying[name] = tuple((run << (v * stride)) * every_period for v in range(n))
+    if not lead:
+        yield 0, varying, full
+        return
+    fixed = [tuple(full if v == d else 0 for v in range(n)) for d in range(n)]
+    for block, digits in enumerate(product(range(n), repeat=len(lead))):
+        letter_masks = dict(varying)
+        letter_masks.update(zip(lead, (fixed[d] for d in digits)))
+        yield block * size, letter_masks, full
+
+
+def _neg_masks(neg: Sequence[int], child: Sequence[int]) -> list[int]:
+    out = [0] * len(neg)
+    for value, mask in zip(neg, child):
+        out[value] |= mask
+    return out
+
+
+def _binary_masks(
+    table: Sequence[Sequence[int]], left: Sequence[int], right: Sequence[int]
+) -> list[int]:
+    out = [0] * len(table)
+    for row, a in zip(table, left):
+        if a:
+            for value, b in zip(row, right):
+                out[value] |= a & b
+    return out
+
+
+def _masks(m: Matrix, f: Formula, letter_masks: LetterMasks) -> Sequence[int]:
+    """The value masks of `f` over one block."""
+    cls = f.__class__
+    if cls is Letter:
+        return letter_masks[f.name]
+    if cls is Neg:
+        return _neg_masks(m.neg_ix, _masks(m, f.child, letter_masks))
+    table = m.or_ix if cls is Or else m.and_ix if cls is And else m.imp_ix
+    return _binary_masks(
+        table, _masks(m, f.left, letter_masks), _masks(m, f.right, letter_masks)
+    )
+
+
+def _designated(m: Matrix, masks: Sequence[int]) -> int:
+    """The valuations where a formula with these value masks is designated."""
+    out = 0
+    for v in m.designated_ix:
+        out |= masks[v]
+    return out
+
+
+def _models_mask(m: Matrix, gamma: FormulaSet, letter_masks: LetterMasks, full: int) -> int:
+    """The valuations of one block that designate every member of `gamma`."""
+    out = full
+    for g in gamma:
+        out &= _designated(m, _masks(m, g, letter_masks))
+        if not out:
+            break
+    return out
+
+
+def _valuation(m: Matrix, names: Iterable[str], number: int) -> Valuation:
+    """The valuation numbered `number` in `valuations` order."""
+    sorted_names = sorted(set(names))
+    digits = []
+    for _ in sorted_names:
+        number, digit = divmod(number, len(m.values))
+        digits.append(digit)
+    return {name: m.values[d] for name, d in zip(sorted_names, reversed(digits))}
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _domain_masks(
+    m: Matrix, formulas: Sequence[Formula], names: Iterable[str]
+) -> tuple[list[list[int]], int]:
+    """The value masks of each formula over the whole domain `names`, each
+    value's block masks joined in block order, and the all-ones mask."""
+    parts: list[list[list[int]]] = [[[] for _ in m.values] for _ in formulas]
+    count = 0
+    for count, (_, letter_masks, full) in enumerate(_blocks(m, names), 1):
+        for part, f in zip(parts, formulas):
+            for blocks, mask in zip(part, _masks(m, f, letter_masks)):
+                blocks.append(mask)
+    width = full.bit_length()
+    joined = [[_join(blocks, width) for blocks in part] for part in parts]
+    return joined, (1 << width * count) - 1
+
+
+def _join(blocks: list[int], width: int) -> int:
+    """The concatenation of equal-width blocks, the first lowest, in
+    O(total bits × log(number of blocks))."""
+    while len(blocks) > 1:
+        if len(blocks) % 2:
+            blocks.append(0)
+        blocks = [lo | hi << width for lo, hi in zip(blocks[::2], blocks[1::2])]
+        width *= 2
+    return blocks[0]
 
 
 def models(
@@ -58,7 +195,11 @@ def models(
     domain = gamma.letters() if names is None else set(names)
     if not gamma.letters() <= domain:
         raise ValueError("letter domain must cover the letters of gamma")
-    return [v for v in valuations(m, domain) if _is_model(m, v, gamma)]
+    return [
+        _valuation(m, domain, first + i)
+        for first, letter_masks, full in _blocks(m, domain)
+        for i in _set_bits(_models_mask(m, gamma, letter_masks, full))
+    ]
 
 
 @dataclass
@@ -77,9 +218,13 @@ def entails(m: Matrix, gamma: FormulaSet, alpha: Formula) -> EntailmentResult:
     fresh letters does not change the verdict.
     """
     domain = gamma.letters() | letters(alpha)
-    for v in valuations(m, domain):
-        if _is_model(m, v, gamma) and evaluate(m, v, alpha) not in m.designated:
-            return EntailmentResult(False, v)
+    for first, letter_masks, full in _blocks(m, domain):
+        refuting = _models_mask(m, gamma, letter_masks, full)
+        if refuting:
+            refuting &= ~_designated(m, _masks(m, alpha, letter_masks))
+        if refuting:
+            first_refuting = first + next(_set_bits(refuting))
+            return EntailmentResult(False, _valuation(m, domain, first_refuting))
     return EntailmentResult(True)
 
 
@@ -98,25 +243,23 @@ def classify(m: Matrix, alpha: Formula) -> Classification:
     all land in UNSATISFIABLE_NONDEGENERATE.
     """
     zero = Fraction(0)
-    zero_available = zero in m.values and zero not in m.designated
+    zero_ix = m.values.index(zero) if zero in m.values and zero not in m.designated else None
     ever_designated = False
     all_designated = True
-    always_zero = zero_available
-    for v in valuations(m, letters(alpha)):
-        value = evaluate(m, v, alpha)
-        if value in m.designated:
-            ever_designated = True
-        else:
-            all_designated = False
-        if value != zero:
-            always_zero = False
+    always_zero = zero_ix is not None
+    for _, letter_masks, full in _blocks(m, letters(alpha)):
+        masks = _masks(m, alpha, letter_masks)
+        designated = _designated(m, masks)
+        ever_designated = ever_designated or designated != 0
+        all_designated = all_designated and designated == full
+        always_zero = always_zero and masks[zero_ix] == full
+        if ever_designated and not all_designated:
+            return Classification.CONTINGENT
     if all_designated:
         return Classification.TAUTOLOGY
-    if not ever_designated:
-        if always_zero:
-            return Classification.CONTRADICTION
-        return Classification.UNSATISFIABLE_NONDEGENERATE
-    return Classification.CONTINGENT
+    if always_zero:
+        return Classification.CONTRADICTION
+    return Classification.UNSATISFIABLE_NONDEGENERATE
 
 
 def is_consistent(m: Matrix, gamma: FormulaSet) -> bool:
@@ -126,42 +269,25 @@ def is_consistent(m: Matrix, gamma: FormulaSet) -> bool:
     value (the designated set is proper), so some formula escapes the
     consequences of `gamma`; conversely a modelless set entails everything.
     """
-    for v in valuations(m, gamma.letters()):
-        if _is_model(m, v, gamma):
-            return True
-    return False
+    return any(
+        _models_mask(m, gamma, letter_masks, full)
+        for _, letter_masks, full in _blocks(m, gamma.letters())
+    )
 
 
 def tautology_free_check(m: Matrix, names: Iterable[str], max_depth: int) -> bool:
     """True iff every formula over `names` up to `max_depth` takes value 1/2
     under the valuation assigning 1/2 everywhere.
 
-    Walks the same level-by-level order as `formula.enumerate_formulas`,
-    computing each formula's value from its parts' values.
+    By induction on formulas, that holds at any depth from 1 on exactly when
+    every connective maps 1/2 (in every argument) to 1/2.
     """
     half = Fraction(1, 2)
     if half not in m.values:
         raise ValueError("matrix has no 1/2 value")
-    sorted_names = sorted(set(names))
-    if not sorted_names:
+    if not set(names):
         raise ValueError("letter set must be nonempty")
-    pool: list[Value] = [half] * len(sorted_names)
-    prev_start = 0
-    for _ in range(max_depth):
-        level: list[Value] = []
-        for value in pool[prev_start:]:
-            out = m.neg[value]
-            if out != half:
-                return False
-            level.append(out)
-        for table in (m.or_, m.and_, m.imp):
-            for i, a in enumerate(pool):
-                for j, b in enumerate(pool):
-                    if i >= prev_start or j >= prev_start:
-                        out = table[(a, b)]
-                        if out != half:
-                            return False
-                        level.append(out)
-        prev_start = len(pool)
-        pool.extend(level)
-    return True
+    h = m.values.index(half)
+    return max_depth < 1 or all(
+        out == h for out in (m.neg_ix[h], m.or_ix[h][h], m.and_ix[h][h], m.imp_ix[h][h])
+    )

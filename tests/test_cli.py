@@ -197,12 +197,15 @@ class TestMatrixCommands:
 
 class TestAudit:
     def test_bad_budget_exit_2(self, runner):
-        # --gamma-size 1 leaves modus ponens no room for side premises
-        for args in (["--samples", "0"], ["--gamma-size", "1"]):
+        # --gamma-size 1 leaves modus ponens no room for side premises, and
+        # sampled formulas are drawn over at most five letters
+        for args in (["--samples", "0"], ["--gamma-size", "1"], ["--letters", "6"]):
             result = runner.invoke(main, ["audit", *args])
             assert result.exit_code == 2
             assert result.output.startswith("error: ")
             assert result.output.count("\n") == 1
+        result = runner.invoke(main, ["audit", "--letters", "9"])
+        assert result.output == "error: letters must be at most 5\n"
 
     def test_audit_exit_0_with_known_discrepancies(self, runner):
         result = runner.invoke(main, ["audit", "--samples", "25"])

@@ -1,12 +1,16 @@
 """Evaluation, models, entailment, and classification tests."""
 
+import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from paramat.formula import And, FormulaSet, Imp, Letter, Neg, Or, parse
-from paramat.matrix import builtin
+from paramat import para, semantics
+from paramat.formula import And, FormulaSet, Imp, Letter, Neg, Or, letters, parse
+from paramat.matrix import builtin, goedel, load_matrix, lukasiewicz
 from paramat.semantics import (
     Classification,
     EvaluationError,
@@ -200,3 +204,148 @@ def test_designated_iff_in_models(f):
         1 for v in valuations(L3, {"p", "q"}) if evaluate(L3, v, f) == F1
     )
     assert model_count == designated
+
+
+# ---------------------------------------------------------------------------
+# The bit-sliced engine against a per-valuation walk with `evaluate`
+
+
+def _two_designated():
+    """Four values, none of them 0, two designated, a non-monotone ->."""
+    values = [Fraction(k, 4) for k in (1, 2, 3, 4)]
+    text = [str(v) for v in values]
+    return load_matrix({
+        "name": "D4",
+        "values": text,
+        "designated": ["3/4", "1"],
+        "neg": {str(x): str(Fraction(5, 4) - x) for x in values},
+        "or": {f"{x}|{y}": str(max(x, y)) for x in values for y in values},
+        "and": {f"{x}|{y}": str(min(x, y)) for x in values for y in values},
+        "imp": {
+            f"{x}|{y}": text[(i + 2 * j) % 4]
+            for i, x in enumerate(values) for j, y in enumerate(values)
+        },
+    })
+
+
+ENGINE_MATRICES = [L3, G3, K3, CL2, lukasiewicz(4), goedel(4), _two_designated()]
+
+
+def _ref_models(m, gamma, names):
+    return [
+        v for v in valuations(m, names)
+        if all(evaluate(m, v, g) in m.designated for g in gamma)
+    ]
+
+
+def _ref_countermodel(m, gamma, alpha):
+    for v in _ref_models(m, gamma, gamma.letters() | letters(alpha)):
+        if evaluate(m, v, alpha) not in m.designated:
+            return v
+    return None
+
+
+def _ref_classify(m, alpha):
+    values = [evaluate(m, v, alpha) for v in valuations(m, letters(alpha))]
+    if all(x in m.designated for x in values):
+        return Classification.TAUTOLOGY
+    if any(x in m.designated for x in values):
+        return Classification.CONTINGENT
+    if F0 in m.values and F0 not in m.designated and set(values) == {F0}:
+        return Classification.CONTRADICTION
+    return Classification.UNSATISFIABLE_NONDEGENERATE
+
+
+def _ref_masks(m, formulas, names):
+    grid = list(valuations(m, names))
+    masks = [
+        sum(1 << i for i, v in enumerate(grid) if evaluate(m, v, f) in m.designated)
+        for f in formulas
+    ]
+    return masks, (1 << len(grid)) - 1
+
+
+def three_letter_formulas():
+    leaves = st.sampled_from([Letter("p"), Letter("q"), Letter("r")])
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Neg, inner),
+            st.builds(Or, inner, inner),
+            st.builds(And, inner, inner),
+            st.builds(Imp, inner, inner),
+        ),
+        max_leaves=10,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ENGINE_MATRICES),
+    st.lists(three_letter_formulas(), max_size=4),
+    three_letter_formulas(),
+    st.sets(st.sampled_from(["p", "q", "r", "s"])),
+    # 1 puts every letter outside the block; 4 and 16 split the domain
+    st.sampled_from([1, 4, 16, semantics._BLOCK]),
+)
+def test_engine_matches_reference_walk(m, gamma_list, alpha, extra, block):
+    gamma = FormulaSet(gamma_list)
+    names = gamma.letters() | extra
+    with mock.patch.object(semantics, "_BLOCK", block):
+        result = entails(m, gamma, alpha)
+        assert result.countermodel == _ref_countermodel(m, gamma, alpha)
+        assert result.holds == (result.countermodel is None)
+        assert is_consistent(m, gamma) == bool(_ref_models(m, gamma, gamma.letters()))
+        assert models(m, gamma, names) == _ref_models(m, gamma, names)
+        assert classify(m, alpha) is _ref_classify(m, alpha)
+        formulas = [*gamma, alpha]
+        domain = names | letters(alpha)
+        assert para._formula_masks(m, formulas, domain) == _ref_masks(m, formulas, domain)
+
+
+@pytest.mark.parametrize("m", ENGINE_MATRICES, ids=lambda m: m.name)
+def test_engine_empty_premises_and_domain(m):
+    empty = FormulaSet()
+    assert is_consistent(m, empty)
+    assert models(m, empty) == [{}]
+    assert para._formula_masks(m, [], set()) == ([], 1)
+    assert entails(m, empty, P).countermodel == {"p": m.values[0]}
+
+
+def test_engine_designates_through_every_designated_value():
+    d4 = _two_designated()
+    assert classify(d4, parse("p | ~p")) is Classification.TAUTOLOGY
+    # p & ~p never reaches 3/4 or 1, and there is no 0 to be always
+    assert classify(d4, parse("p & ~p")) is Classification.UNSATISFIABLE_NONDEGENERATE
+    assert [v["p"] for v in models(d4, FormulaSet([P]))] == [Fraction(3, 4), F1]
+
+
+WIDE = [Letter(f"x{i:02d}") for i in range(16)]
+
+
+def _bounded(query):
+    """Run `query`; its wall time and peak traced allocation."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = query()
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, elapsed, peak
+
+
+@pytest.mark.parametrize("m", [L3, CL2], ids=lambda m: m.name)
+def test_wide_domain_decided_in_its_first_block(m):
+    # 16 letters: 3^16 (L3) or 2^16 (CL2) valuations, the first one decides
+    disjunction = WIDE[0]
+    for letter in WIDE[1:]:
+        disjunction = Or(disjunction, letter)
+    result, elapsed, peak = _bounded(lambda: entails(m, FormulaSet(), disjunction))
+    assert result.countermodel == {x.name: F0 for x in WIDE}
+    assert elapsed < 1.0 and peak < 8 * 2**20
+    negations = FormulaSet(Neg(x) for x in WIDE)
+    result, elapsed, peak = _bounded(lambda: is_consistent(m, negations))
+    assert result
+    assert elapsed < 1.0 and peak < 8 * 2**20
