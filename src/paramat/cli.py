@@ -34,6 +34,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+EXIT_INTERNAL = 4
 
 
 def _fail(code: int, message: str) -> None:
@@ -135,7 +136,24 @@ _matrix_path_option = click.option(
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; an unexpected exception exits with EXIT_INTERNAL.
+
+    Without this, click lets it escape as a traceback with exit status 1,
+    which reads as "fails".
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            message = str(exc).replace("\n", " ")
+            _fail(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {message}")
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="paramat")
 def main() -> None:
     """Many-valued matrix logics, a paraconsistent transform, and an auditor."""

@@ -1,16 +1,21 @@
 """Paraconsistent consequence: entailment from consistent subsets of the premises.
 
-``para_entails`` decides whether some consistent subset of the premises
-entails the conclusion; ``logic_entails`` additionally supports one more
-application of the transform (depth 2), where subset consistency is judged
-by the depth-1 relation itself.
+A family of subsets of the n premises is a *table*, an integer of 2^n bits
+whose bit s stands for the subset with bitset s.  The consistent table is the
+down-closure of the valuations' distinct membership sets {i : v designates
+premise i}; a target's *entailing table* drops from it the subsets inside the
+membership set of some valuation that refutes the target.  A subset entails
+a target at depth 1 when one of its subsets is in the target's entailing
+table, so depth 2 up-closes those tables: the zeta transform of Björklund,
+Husfeldt, Kaski and Koivisto (STOC 2007).  Each closure is n shift-and-mask steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .formula import Formula, FormulaSet, Letter, letters
 from .matrix import Matrix
@@ -73,23 +78,72 @@ def _formula_masks(
     return [_designated(m, masks) for masks in value_masks], full
 
 
-def _subset_and_masks(member_masks: list[int], full: int) -> list[int]:
-    """Intersection mask for every subset of the members (index = bitset)."""
-    out = [full] * (1 << len(member_masks))
-    for t in range(1, len(out)):
-        low = t & -t
-        out[t] = out[t ^ low] & member_masks[low.bit_length() - 1]
-    return out
+def _membership_sets(member_masks: list[int], full: int) -> list[tuple[int, int]]:
+    """Each distinct set of members designated together, with the mask of the
+    valuations designating exactly it.  Splitting member by member and dropping
+    empty parts makes the work follow the number of sets, not of valuations."""
+    parts = [(0, full)]
+    for i, mask in enumerate(member_masks):
+        split = []
+        for members, vals in parts:
+            inside = vals & mask
+            if inside:
+                split.append((members | 1 << i, inside))
+            if inside != vals:
+                split.append((members, vals ^ inside))
+        parts = split
+    return parts
 
 
-def _subsets_in_canonical_order(n: int) -> Iterator[int]:
-    """Subset bitsets by ascending size, then combination order."""
+@cache  # one entry per premise count, a few hundred kB in all up to 16
+def _with_member(n: int) -> tuple[int, ...]:
+    """For each member i, the table of the subsets that contain i."""
+    if n == 0:
+        return ()
+    half = 1 << (n - 1)  # the subsets with member n - 1 are the upper half
+    return (*(t | t << half for t in _with_member(n - 1)), ((1 << half) - 1) << half)
+
+
+def _below(parts: list[tuple[int, int]], valuations: int, n: int) -> int:
+    """The table of the subsets of the membership sets of `valuations`."""
+    table = 0
+    for members, vals in parts:
+        if vals & valuations:
+            table |= 1 << members
+    for i, has in enumerate(_with_member(n)):
+        table |= (table & has) >> (1 << i)
+    return table
+
+
+def _up(table: int, n: int) -> int:
+    """The table closed under taking supersets (the zeta transform)."""
+    for i, has in enumerate(_with_member(n)):
+        table |= (table & ~has) << (1 << i)
+    return table
+
+
+def _tables(
+    m: Matrix, gamma: FormulaSet, bound: int, targets: Sequence[Formula] = ()
+) -> tuple[int, list[int]]:
+    """The consistent table of `gamma` and the entailing table of each target."""
+    _check_bound(gamma, bound)
+    n = len(gamma)
+    domain = gamma.letters().union(*map(letters, targets))
+    masks, full = _formula_masks(m, [*gamma, *targets], domain)
+    parts = _membership_sets(masks[:n], full)
+    consistent = _below(parts, full, n)
+    return consistent, [consistent & ~_below(parts, full ^ t, n) for t in masks[n:]]
+
+
+def _in_canonical_order(gamma: FormulaSet, table: int) -> Iterator[FormulaSet]:
+    """The table's subsets by ascending size, then combination order."""
+    n = len(gamma)
+    flags = bin(table)[:1:-1].ljust(1 << n, "0")  # character s for subset s
+    singletons = [1 << i for i in range(n)]
     for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            bits = 0
-            for i in combo:
-                bits |= 1 << i
-            yield bits
+        for combo in combinations(singletons, size):
+            if flags[bits := sum(combo)] == "1":
+                yield _members_of(gamma, bits)
 
 
 def _members_of(gamma: FormulaSet, bits: int) -> FormulaSet:
@@ -100,31 +154,22 @@ def consistent_subsets(
     m: Matrix, gamma: FormulaSet, bound: int = DEFAULT_SUBSET_BOUND
 ) -> Iterator[FormulaSet]:
     """All consistent subsets of `gamma`, each once; the empty set is always one."""
-    _check_bound(gamma, bound)
-    masks, full = _formula_masks(m, list(gamma), gamma.letters())
-    and_masks = _subset_and_masks(masks, full)
-    for bits in _subsets_in_canonical_order(len(gamma)):
-        if and_masks[bits]:
-            yield _members_of(gamma, bits)
+    consistent, _ = _tables(m, gamma, bound)
+    yield from _in_canonical_order(gamma, consistent)
 
 
 def maximal_consistent_subsets(
     m: Matrix, gamma: FormulaSet, bound: int = DEFAULT_SUBSET_BOUND
 ) -> list[FormulaSet]:
-    """The inclusion-maximal consistent subsets of `gamma`, in canonical order."""
-    _check_bound(gamma, bound)
+    """The inclusion-maximal consistent subsets of `gamma`, in canonical order:
+    the consistent subsets with no consistent one-member extension."""
     n = len(gamma)
-    masks, full = _formula_masks(m, list(gamma), gamma.letters())
-    and_masks = _subset_and_masks(masks, full)
-    out = []
-    for bits in range(1 << n):
-        if not and_masks[bits]:
-            continue
-        if any(
-            not bits & (1 << i) and and_masks[bits | (1 << i)] for i in range(n)
-        ):
-            continue
-        out.append(_members_of(gamma, bits))
+    consistent, _ = _tables(m, gamma, bound)
+    extendable = 0
+    for i, has in enumerate(_with_member(n)):
+        extendable |= (consistent & has) >> (1 << i)
+    flags = bin(consistent & ~extendable)[:1:-1]
+    out = [_members_of(gamma, bits) for bits, flag in enumerate(flags) if flag == "1"]
     return sorted(out, key=lambda s: tuple(str(f) for f in s))
 
 
@@ -133,38 +178,13 @@ def para_entails(
 ) -> ParaResult:
     """Does some consistent subset of `gamma` entail `alpha`?
 
-    Decided over the maximal consistent subsets (sound by monotonicity of the
-    base consequence; cross-checked against the all-subsets brute force in the
-    test suite).  The witness is the smallest entailing consistent subset,
-    ties broken by canonical order.
+    Read from the entailing table of `alpha`, built for all 2^n subsets at
+    once; the witness is its smallest subset, ties broken by canonical order.
     """
-    _check_bound(gamma, bound)
-    n = len(gamma)
-    domain = gamma.letters() | letters(alpha)
-    masks, full = _formula_masks(m, [*gamma, alpha], domain)
-    member_masks, alpha_mask = masks[:n], masks[n]
-    and_masks = _subset_and_masks(member_masks, full)
-
-    def entails_alpha(bits: int) -> bool:
-        return and_masks[bits] & ~alpha_mask & full == 0
-
-    holds = False
-    for bits in range(1 << n):
-        if not and_masks[bits]:
-            continue
-        if any(
-            not bits & (1 << i) and and_masks[bits | (1 << i)] for i in range(n)
-        ):
-            continue  # not maximal
-        if entails_alpha(bits):
-            holds = True
-            break
-    if not holds:
+    _, (entailing,) = _tables(m, gamma, bound, [alpha])
+    if not entailing:
         return ParaResult(False)
-    for bits in _subsets_in_canonical_order(n):
-        if and_masks[bits] and entails_alpha(bits):
-            return ParaResult(True, _members_of(gamma, bits))
-    raise AssertionError("maximal subset entailed alpha but no witness found")
+    return ParaResult(True, next(_in_canonical_order(gamma, entailing)))
 
 
 def fresh_letter(used: set[str]) -> Formula:
@@ -204,27 +224,6 @@ def logic_entails(
         return entails(spec.matrix, gamma, alpha).holds
     if spec.para_depth == 1:
         return para_entails(spec.matrix, gamma, alpha, bound).holds
-    _check_bound(gamma, bound)
-    m = spec.matrix
-    n = len(gamma)
     fresh = fresh_letter(gamma.letters() | letters(alpha))
-    domain = gamma.letters() | letters(alpha) | letters(fresh)
-    masks, full = _formula_masks(m, [*gamma, alpha, fresh], domain)
-    member_masks, alpha_mask, fresh_mask = masks[:n], masks[n], masks[n + 1]
-    and_masks = _subset_and_masks(member_masks, full)
-
-    def depth1_entails(bits: int, target_mask: int) -> bool:
-        # some consistent subset of `bits` whose models all designate the target
-        sub = bits
-        while True:
-            if and_masks[sub] and and_masks[sub] & ~target_mask & full == 0:
-                return True
-            if sub == 0:
-                return False
-            sub = (sub - 1) & bits
-
-    for bits in range(1 << n):
-        depth1_consistent = not depth1_entails(bits, fresh_mask)
-        if depth1_consistent and depth1_entails(bits, alpha_mask):
-            return True
-    return False
+    _, (to_alpha, to_fresh) = _tables(spec.matrix, gamma, bound, [alpha, fresh])
+    return _up(to_alpha, len(gamma)) & ~_up(to_fresh, len(gamma)) != 0

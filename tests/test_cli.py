@@ -1,10 +1,16 @@
 """Command-line interface tests: commands, exit codes, JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import paramat
+from paramat import cli
 from paramat.cli import main
 from paramat.formula import MAX_DEPTH
 from paramat.matrix import builtin, matrix_to_document
@@ -63,6 +69,36 @@ class TestEntails:
     def test_unknown_logic_exit_2(self, runner):
         result = runner.invoke(main, ["entails", "--logic", "zzz", "p", "q"])
         assert result.exit_code == 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4(self, runner, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("table\nbroken")
+
+        monkeypatch.setattr(cli, "para_entails", broken)
+        result = runner.invoke(main, ["entails", "--logic", "l3", "--para", "1", "p", "q"])
+        assert result.exit_code == 4
+        assert result.output == "error: internal error: RuntimeError: table broken\n"
+
+    def test_usage_errors_keep_their_codes(self, runner):
+        assert runner.invoke(main, ["entails", "--para", "3", "p", "q"]).exit_code == 2
+        assert runner.invoke(main, ["nosuchcommand"]).exit_code == 2
+        assert runner.invoke(main, ["--help"]).exit_code == 0
+
+
+def test_python_m_paramat_runs_the_cli():
+    src = Path(paramat.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "paramat", "classify", "--logic", "g3", "p & ~p"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "contradiction\n"
 
 
 class TestDeepFormulas:

@@ -1,11 +1,14 @@
 """Consistent-subset consequence, cross-checked against a brute-force oracle."""
 
 import random
+import time
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paramat import para, semantics
 from paramat.formula import (
     And,
     FormulaSet,
@@ -14,10 +17,11 @@ from paramat.formula import (
     Neg,
     Or,
     draw_formula,
+    letters,
     parse,
     render,
 )
-from paramat.matrix import builtin
+from paramat.matrix import builtin, lukasiewicz
 from paramat.para import (
     LogicSpec,
     SubsetBoundError,
@@ -51,12 +55,11 @@ def oracle_consistent_subsets(m, gamma):
 
 def oracle_maximal_consistent_subsets(m, gamma):
     consistent = oracle_consistent_subsets(m, gamma)
+    members = [set(s.formulas) for s in consistent]
     out = [
         s
-        for s in consistent
-        if not any(
-            s != t and set(s.formulas) < set(t.formulas) for t in consistent
-        )
+        for s, own in zip(consistent, members)
+        if not any(own < other for other in members)
     ]
     return sorted(out, key=lambda s: tuple(render(f) for f in s))
 
@@ -210,8 +213,36 @@ def test_oracle_agreement_seeded(m):
         assert got.witness == want_witness
 
 
+def walk_depth2(m, gamma, alpha):
+    """Depth-2 entailment by walking every submask of every subset (3^n steps),
+    the reference for the up-closed tables."""
+    n = len(gamma)
+    fresh = fresh_letter(gamma.letters() | letters(alpha))
+    domain = gamma.letters() | letters(alpha) | {fresh.name}
+    masks, full = para._formula_masks(m, [*gamma, alpha, fresh], domain)
+    member_masks, alpha_mask, fresh_mask = masks[:n], masks[n], masks[n + 1]
+    and_masks = [full] * (1 << n)
+    for t in range(1, 1 << n):
+        low = t & -t
+        and_masks[t] = and_masks[t ^ low] & member_masks[low.bit_length() - 1]
+
+    def depth1_entails(bits, target_mask):
+        sub = bits
+        while True:
+            if and_masks[sub] and and_masks[sub] & ~target_mask & full == 0:
+                return True
+            if sub == 0:
+                return False
+            sub = (sub - 1) & bits
+
+    return any(
+        not depth1_entails(bits, fresh_mask) and depth1_entails(bits, alpha_mask)
+        for bits in range(1 << n)
+    )
+
+
 def formula_strategy():
-    leaves = st.sampled_from([Letter("p"), Letter("q")])
+    leaves = st.sampled_from([Letter("p"), Letter("q"), Letter("r")])
     return st.recursive(
         leaves,
         lambda inner: st.one_of(
@@ -220,20 +251,75 @@ def formula_strategy():
             st.builds(And, inner, inner),
             st.builds(Imp, inner, inner),
         ),
-        max_leaves=8,
+        max_leaves=6,
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(formula_strategy(), max_size=4),
+    st.sampled_from([L3, G3, K3, CL2, lukasiewicz(4)]),
+    st.lists(formula_strategy(), max_size=9),
     formula_strategy(),
-    st.sampled_from(["l3", "k3"]),
+    # 4 splits every domain of two or more letters into several blocks
+    st.sampled_from([4, semantics._BLOCK]),
 )
-def test_oracle_agreement_hypothesis(gamma_list, alpha, name):
-    m = builtin(name)
+def test_oracle_agreement_hypothesis(m, gamma_list, alpha, block):
     gamma = FormulaSet(gamma_list)
-    got = para_entails(m, gamma, alpha)
-    want_holds, want_witness = oracle_para_entails(m, gamma, alpha)
-    assert got.holds == want_holds
-    assert got.witness == want_witness
+    with mock.patch.object(semantics, "_BLOCK", block):
+        assert list(consistent_subsets(m, gamma)) == oracle_consistent_subsets(m, gamma)
+        assert maximal_consistent_subsets(m, gamma) == (
+            oracle_maximal_consistent_subsets(m, gamma)
+        )
+        got = para_entails(m, gamma, alpha)
+        assert (got.holds, got.witness) == oracle_para_entails(m, gamma, alpha)
+        assert logic_entails(LogicSpec(m, 2), gamma, alpha) == walk_depth2(m, gamma, alpha)
+
+
+@given(st.integers(0, 6), st.integers(0, 2**64 - 1))
+def test_closures_match_their_definitions(n, table):
+    # depth 2 alone cannot check `_up`: its fresh-letter table is empty for
+    # every matrix with a non-designated value
+    table %= 1 << (1 << n)
+    given_sets = [s for s in range(1 << n) if table >> s & 1]
+    below = [s for s in range(1 << n) if any(s & t == s for t in given_sets)]
+    above = [s for s in range(1 << n) if any(s & t == t for t in given_sets)]
+    parts = [(s, 1) for s in given_sets]  # each set designated at valuation 0
+    assert para._below(parts, 1, n) == sum(1 << s for s in below)
+    assert para._up(table, n) == sum(1 << s for s in above)
+
+
+def _timed(query):
+    start = time.perf_counter()
+    result = query()
+    return result, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("m", [L3, CL2], ids=lambda m: m.name)
+def test_sixteen_premises_at_depth_two(m):
+    # the submask walk takes 3^16 (about 43 million) steps here
+    gamma = FormulaSet.from_text(
+        "p, q, r, ~p, ~q, ~r, p | q, p | r, q | r, p & q, p & r, q & r,"
+        " p -> q, q -> r, r -> p, ~(p & ~p)"
+    )
+    assert len(gamma) == 16
+    spec = LogicSpec(m, 2)
+    result, elapsed = _timed(lambda: logic_entails(spec, gamma, parse("p | q")))
+    assert result and elapsed < 1.0
+    result, elapsed = _timed(lambda: logic_entails(spec, gamma, Letter("s")))
+    assert not result and elapsed < 1.0
+
+
+@pytest.mark.parametrize("m", [L3, CL2], ids=lambda m: m.name)
+def test_twelve_premises_over_ten_letters(m):
+    # 3^10 = 59 049 valuations (L3) with about 2 000 distinct membership sets
+    xs = [Letter(f"x{i}") for i in range(10)]
+    gamma = FormulaSet([*xs, Neg(xs[0]), Or(Neg(xs[1]), xs[2])])
+    assert len(gamma) == 12
+    result, elapsed = _timed(lambda: para_entails(m, gamma, xs[9]))
+    assert result.witness == FormulaSet([xs[9]]) and elapsed < 1.0
+    result, elapsed = _timed(lambda: maximal_consistent_subsets(m, gamma))
+    assert result == [
+        FormulaSet(f for f in gamma if f != Neg(xs[0])),
+        FormulaSet(f for f in gamma if f != xs[0]),
+    ]
+    assert elapsed < 1.0
