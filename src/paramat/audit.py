@@ -486,12 +486,11 @@ def _check_conjunctive(cell: _Cell) -> Decision:
         a = draw_formula(rng, names, depth)
         b = draw_formula(rng, names, depth)
         z = And(a, b)
-        claims = [
-            cell.claim(FormulaSet([a, b]), z, True),
-            cell.claim(FormulaSet([z]), a, True),
-            cell.claim(FormulaSet([z]), b, True),
-        ]
-        if not replay_claims(cell.spec.matrix, claims):
+        # a HOLDS keeps no claims, so each sample is decided directly
+        together = FormulaSet([z])
+        if not (
+            cell.rel(FormulaSet([a, b]), z) and cell.rel(together, a) and cell.rel(together, b)
+        ):
             return Decision(
                 Outcome.UNDECIDED,
                 Method.SAMPLED,

@@ -35,6 +35,7 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 
 def _fail(code: int, message: str) -> None:
@@ -137,15 +138,19 @@ _matrix_path_option = click.option(
 
 
 class _Main(click.Group):
-    """The command group; an unexpected exception exits with EXIT_INTERNAL.
+    """The command group; an unexpected exception exits with EXIT_INTERNAL,
+    and Ctrl-C with EXIT_INTERRUPTED.
 
-    Without this, click lets it escape as a traceback with exit status 1,
-    which reads as "fails".
+    Without this, click lets an exception escape as a traceback with exit
+    status 1, and turns Ctrl-C into "Aborted!" with exit status 1; both read
+    as "fails".
     """
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except KeyboardInterrupt:
+            _fail(EXIT_INTERRUPTED, "interrupted")
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception as exc:

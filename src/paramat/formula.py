@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -26,6 +26,10 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Formula:
+    # the canonical text, kept by the first `render` of this node; not part
+    # of equality, hashing or repr
+    _text: str | None = field(default=None, init=False, compare=False, repr=False)
+
     def __str__(self) -> str:
         return render(self)
 
@@ -67,7 +71,19 @@ def _prec(f: Formula) -> int:
 
 
 def render(f: Formula) -> str:
-    """Minimal-parentheses text for `f`; ``parse(render(f)) == f``."""
+    """Minimal-parentheses text for `f`; ``parse(render(f)) == f``.
+
+    Distinct formulas have distinct texts.  Each node keeps its text once it
+    has been rendered, so rendering a formula again costs one lookup.
+    """
+    text = f._text
+    if text is None:
+        text = _render(f)
+        object.__setattr__(f, "_text", text)
+    return text
+
+
+def _render(f: Formula) -> str:
     if isinstance(f, Letter):
         return f.name
     if isinstance(f, Neg):
@@ -251,9 +267,14 @@ class FormulaSet:
     __slots__ = ("formulas",)
 
     def __init__(self, formulas: Iterable[Formula] = ()):
-        self.formulas: tuple[Formula, ...] = tuple(
-            sorted(set(formulas), key=render)
-        )
+        # `render` is injective, so deduplicating by text is deduplicating by
+        # equality, without hashing whole trees.  The tuple is built from a
+        # list: built from a generator, it raised the default audit's peak
+        # traced memory from 0.4 to 0.8 MB.
+        by_text: dict[str, Formula] = {}
+        for f in formulas:
+            by_text.setdefault(render(f), f)
+        self.formulas: tuple[Formula, ...] = tuple([by_text[t] for t in sorted(by_text)])
 
     @classmethod
     def from_text(cls, text: str) -> "FormulaSet":

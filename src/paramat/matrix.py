@@ -56,7 +56,8 @@ class Matrix:
     indices 0..n-1, in the order of `values`, and the ``*_ix`` fields hold
     the same tables over those indices; the semantics computes with these,
     so `Fraction` values are needed only at the edges (parsing, printing,
-    JSON and the valuations handed back to callers).
+    JSON and the valuations handed back to callers).  `memo` is the
+    semantics engine's bounded cache for this matrix, filled in place.
     """
 
     name: str
@@ -71,6 +72,7 @@ class Matrix:
     or_ix: tuple[tuple[int, ...], ...] = _derived()
     and_ix: tuple[tuple[int, ...], ...] = _derived()
     imp_ix: tuple[tuple[int, ...], ...] = _derived()
+    memo: dict = _derived()
 
     def __post_init__(self) -> None:
         self.validate()
@@ -87,6 +89,7 @@ class Matrix:
             "or_ix": binary(self.or_),
             "and_ix": binary(self.and_),
             "imp_ix": binary(self.imp),
+            "memo": {},
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)

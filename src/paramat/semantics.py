@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .formula import And, Formula, FormulaSet, Letter, Neg, Or, letters
+from .formula import And, Formula, FormulaSet, Letter, Neg, Or, letters, render
 from .matrix import Matrix, Value
 
 Valuation = dict[str, Value]
@@ -59,20 +59,45 @@ def valuations(m: Matrix, names: Iterable[str]) -> Iterator[Valuation]:
 # at most _BLOCK valuations: the trailing letters vary inside a block, the
 # leading ones are fixed per block, so memory stays bounded at any number of
 # letters and a query that is decided early stops early.
+#
+# Each block has a memo of the masks of the subformulas evaluated over it,
+# keyed by their text (`render` is injective and each node keeps its text),
+# so a subformula shared by the formulas of a query, or asked for again by a
+# later query over the same domain, is evaluated once.  A domain that fits in
+# one block, as every domain of the default audit does, is kept in
+# `Matrix.memo` under (_BLOCK, its sorted letters): its letters' masks are
+# built once per matrix and its memo lives on from query to query.  Both
+# caches are bounded by constants, with no option: a matrix keeps its
+# _DOMAINS most recently used domains, and a memo at most _MEMO_SIZE masks
+# (a full one is emptied), so at most _DOMAINS * _MEMO_SIZE masks per
+# matrix.  Most reuse is within a domain or two, while every domain kept
+# costs memory when queries keep naming new letters.  A domain of several
+# blocks gets a fresh memo per block.
 
 _BLOCK = 1 << 12
+_DOMAINS = 4
+_MEMO_SIZE = 256
 
 LetterMasks = dict[str, Sequence[int]]
+Memo = dict[str, Sequence[int]]
 
 
-def _blocks(m: Matrix, names: Iterable[str]) -> Iterator[tuple[int, LetterMasks, int]]:
+def _blocks(
+    m: Matrix, names: Iterable[str]
+) -> Iterator[tuple[int, LetterMasks, Memo, int]]:
     """The blocks of the valuation space over `names`, in `valuations` order.
 
     Each is (number of its first valuation, value masks of every letter,
-    all-ones mask of the block).
+    memo of subformula masks, all-ones mask of the block).
     """
-    n = len(m.values)
     sorted_names = sorted(set(names))
+    key = (_BLOCK, *sorted_names)
+    domain = m.memo.pop(key, None)
+    if domain is not None:
+        m.memo[key] = domain  # the most recently used last
+        yield 0, *domain
+        return
+    n = len(m.values)
     inner = 0
     while inner < len(sorted_names) and n ** (inner + 1) <= _BLOCK:
         inner += 1
@@ -86,13 +111,16 @@ def _blocks(m: Matrix, names: Iterable[str]) -> Iterator[tuple[int, LetterMasks,
         run = (1 << stride) - 1
         varying[name] = tuple((run << (v * stride)) * every_period for v in range(n))
     if not lead:
-        yield 0, varying, full
+        if len(m.memo) >= _DOMAINS:
+            del m.memo[next(iter(m.memo))]
+        domain = m.memo[key] = (varying, {}, full)
+        yield 0, *domain
         return
     fixed = [tuple(full if v == d else 0 for v in range(n)) for d in range(n)]
     for block, digits in enumerate(product(range(n), repeat=len(lead))):
         letter_masks = dict(varying)
         letter_masks.update(zip(lead, (fixed[d] for d in digits)))
-        yield block * size, letter_masks, full
+        yield block * size, letter_masks, {}, full
 
 
 def _neg_masks(neg: Sequence[int], child: Sequence[int]) -> list[int]:
@@ -113,17 +141,28 @@ def _binary_masks(
     return out
 
 
-def _masks(m: Matrix, f: Formula, letter_masks: LetterMasks) -> Sequence[int]:
-    """The value masks of `f` over one block."""
+def _masks(m: Matrix, f: Formula, letter_masks: LetterMasks, memo: Memo) -> Sequence[int]:
+    """The value masks of `f` over one block, shared with `memo`: not to be
+    mutated."""
     cls = f.__class__
     if cls is Letter:
         return letter_masks[f.name]
-    if cls is Neg:
-        return _neg_masks(m.neg_ix, _masks(m, f.child, letter_masks))
-    table = m.or_ix if cls is Or else m.and_ix if cls is And else m.imp_ix
-    return _binary_masks(
-        table, _masks(m, f.left, letter_masks), _masks(m, f.right, letter_masks)
-    )
+    text = render(f)
+    masks = memo.get(text)
+    if masks is None:
+        if cls is Neg:
+            masks = _neg_masks(m.neg_ix, _masks(m, f.child, letter_masks, memo))
+        else:
+            table = m.or_ix if cls is Or else m.and_ix if cls is And else m.imp_ix
+            masks = _binary_masks(
+                table,
+                _masks(m, f.left, letter_masks, memo),
+                _masks(m, f.right, letter_masks, memo),
+            )
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        memo[text] = masks
+    return masks
 
 
 def _designated(m: Matrix, masks: Sequence[int]) -> int:
@@ -134,11 +173,13 @@ def _designated(m: Matrix, masks: Sequence[int]) -> int:
     return out
 
 
-def _models_mask(m: Matrix, gamma: FormulaSet, letter_masks: LetterMasks, full: int) -> int:
+def _models_mask(
+    m: Matrix, gamma: FormulaSet, letter_masks: LetterMasks, memo: Memo, full: int
+) -> int:
     """The valuations of one block that designate every member of `gamma`."""
     out = full
     for g in gamma:
-        out &= _designated(m, _masks(m, g, letter_masks))
+        out &= _designated(m, _masks(m, g, letter_masks, memo))
         if not out:
             break
     return out
@@ -168,9 +209,9 @@ def _domain_masks(
     value's block masks joined in block order, and the all-ones mask."""
     parts: list[list[list[int]]] = [[[] for _ in m.values] for _ in formulas]
     count = 0
-    for count, (_, letter_masks, full) in enumerate(_blocks(m, names), 1):
+    for count, (_, letter_masks, memo, full) in enumerate(_blocks(m, names), 1):
         for part, f in zip(parts, formulas):
-            for blocks, mask in zip(part, _masks(m, f, letter_masks)):
+            for blocks, mask in zip(part, _masks(m, f, letter_masks, memo)):
                 blocks.append(mask)
     width = full.bit_length()
     joined = [[_join(blocks, width) for blocks in part] for part in parts]
@@ -197,8 +238,8 @@ def models(
         raise ValueError("letter domain must cover the letters of gamma")
     return [
         _valuation(m, domain, first + i)
-        for first, letter_masks, full in _blocks(m, domain)
-        for i in _set_bits(_models_mask(m, gamma, letter_masks, full))
+        for first, letter_masks, memo, full in _blocks(m, domain)
+        for i in _set_bits(_models_mask(m, gamma, letter_masks, memo, full))
     ]
 
 
@@ -218,10 +259,10 @@ def entails(m: Matrix, gamma: FormulaSet, alpha: Formula) -> EntailmentResult:
     fresh letters does not change the verdict.
     """
     domain = gamma.letters() | letters(alpha)
-    for first, letter_masks, full in _blocks(m, domain):
-        refuting = _models_mask(m, gamma, letter_masks, full)
+    for first, letter_masks, memo, full in _blocks(m, domain):
+        refuting = _models_mask(m, gamma, letter_masks, memo, full)
         if refuting:
-            refuting &= ~_designated(m, _masks(m, alpha, letter_masks))
+            refuting &= ~_designated(m, _masks(m, alpha, letter_masks, memo))
         if refuting:
             first_refuting = first + next(_set_bits(refuting))
             return EntailmentResult(False, _valuation(m, domain, first_refuting))
@@ -247,8 +288,8 @@ def classify(m: Matrix, alpha: Formula) -> Classification:
     ever_designated = False
     all_designated = True
     always_zero = zero_ix is not None
-    for _, letter_masks, full in _blocks(m, letters(alpha)):
-        masks = _masks(m, alpha, letter_masks)
+    for _, letter_masks, memo, full in _blocks(m, letters(alpha)):
+        masks = _masks(m, alpha, letter_masks, memo)
         designated = _designated(m, masks)
         ever_designated = ever_designated or designated != 0
         all_designated = all_designated and designated == full
@@ -270,8 +311,8 @@ def is_consistent(m: Matrix, gamma: FormulaSet) -> bool:
     consequences of `gamma`; conversely a modelless set entails everything.
     """
     return any(
-        _models_mask(m, gamma, letter_masks, full)
-        for _, letter_masks, full in _blocks(m, gamma.letters())
+        _models_mask(m, gamma, letter_masks, memo, full)
+        for _, letter_masks, memo, full in _blocks(m, gamma.letters())
     )
 
 

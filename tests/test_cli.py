@@ -2,12 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import paramat
 from paramat import cli
@@ -85,6 +87,25 @@ class TestInternalError:
         assert runner.invoke(main, ["entails", "--para", "3", "p", "q"]).exit_code == 2
         assert runner.invoke(main, ["nosuchcommand"]).exit_code == 2
         assert runner.invoke(main, ["--help"]).exit_code == 0
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize(
+        "args, target",
+        [
+            (["entails", "--logic", "l3", "p", "q"], "entails"),
+            (["audit", "--samples", "1"], "run_table"),
+        ],
+        ids=["entails", "audit"],
+    )
+    def test_ctrl_c_exits_130(self, runner, monkeypatch, args, target):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, target, interrupted)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 130
+        assert result.output == "error: interrupted\n"
 
 
 def test_python_m_paramat_runs_the_cli():
@@ -261,3 +282,78 @@ class TestAudit:
         second = runner.invoke(main, args)
         assert first.output == second.output
         json.loads(first.output)
+
+
+# Fuzzing the query commands: whatever the text, the exit code is one of the
+# documented ones and an error is one line.  The valuation space grows as
+# 3^letters and nothing bounds the letters yet, so inputs keep to at most six.
+_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*")
+_SYMBOLS = ["~", "¬", "|", "∨", "&", "∧", "->", "→", "-", ">", "(", ")", ",", " "]
+_QUERY_OPTIONS = st.tuples(
+    st.sampled_from(["l3", "g3", "k3", "cl2"]), st.sampled_from(["0", "1", "2"])
+)
+
+
+def _few_letters(text: str) -> bool:
+    return len(set(_NAME.findall(text))) <= 6
+
+
+_random_text = st.text(max_size=40).filter(_few_letters)
+# formula-like text: symbols and six letter names, with stray characters
+_token_text = st.lists(
+    st.sampled_from([*_SYMBOLS, "p", "q", "r", "s", "t", "u", "1", "P", "_", "#"]),
+    max_size=40,
+).map(" ".join)
+
+
+@st.composite
+def _nested(draw):
+    """Deep runs of negations and parentheses, balanced or not."""
+    core = draw(st.sampled_from(["p", "p | q", "~q -> r", "(p & s)", ""]))
+    negations = draw(st.integers(0, 3000))
+    opened = draw(st.integers(0, 400))
+    closed = draw(st.sampled_from([opened, max(opened - 1, 0), opened + 1]))
+    inner = draw(st.sampled_from(["", "~", "~("]))
+    return "~" * negations + (inner + "(") * opened + core + ")" * closed
+
+
+_any_text = st.one_of(_random_text, _token_text, _nested())
+
+
+def _check_outcome(result) -> None:
+    assert result.exit_code in (0, 1, 2, 3), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code in (2, 3):
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+    else:
+        assert result.stderr == ""
+
+
+_FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+
+
+@_FUZZ
+@given(_QUERY_OPTIONS, _any_text, _any_text)
+def test_fuzz_entails(options, gamma, alpha):
+    logic, para = options
+    args = ["entails", "--logic", logic, "--para", para, "--", gamma, alpha]
+    _check_outcome(CliRunner().invoke(main, args))
+
+
+@_FUZZ
+@given(st.sampled_from(["l3", "g3", "k3", "cl2"]), _any_text)
+def test_fuzz_classify(logic, alpha):
+    result = CliRunner().invoke(main, ["classify", "--logic", logic, "--", alpha])
+    _check_outcome(result)
+    assert result.exit_code in (0, 3)
+
+
+@_FUZZ
+@given(_QUERY_OPTIONS, _any_text)
+def test_fuzz_consistent(options, gamma):
+    logic, para = options
+    args = ["consistent", "--logic", logic, "--para", para, "--", gamma]
+    _check_outcome(CliRunner().invoke(main, args))

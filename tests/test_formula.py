@@ -147,6 +147,23 @@ def test_letters_subset(f):
     assert letters(f)
 
 
+@given(formula_strategy())
+def test_cached_text_is_invisible(f):
+    fresh = parse(render(f))  # an equal tree whose nodes have rendered nothing
+    assert render(f) == render(f)  # the second call reads the kept text
+    assert f == fresh and fresh == f
+    assert hash(f) == hash(fresh)
+    assert repr(f) == repr(fresh)
+
+
+@given(st.lists(formula_strategy(), max_size=8), st.randoms(use_true_random=False))
+def test_formula_set_dedupes_by_text(xs, rnd):
+    # equal formulas as distinct objects, some already rendered, in any order
+    drawn = [*xs, *(parse(render(x)) for x in xs[::2])]
+    rnd.shuffle(drawn)
+    assert FormulaSet(drawn).formulas == tuple(sorted(set(drawn), key=render))
+
+
 class TestEnumerate:
     def test_counts_one_letter(self):
         # depth-level sizes over one letter: 1, then 4, then 76

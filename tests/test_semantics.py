@@ -1,14 +1,16 @@
 """Evaluation, models, entailment, and classification tests."""
 
+import json
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paramat import para, semantics
+from paramat import audit, para, semantics
 from paramat.formula import And, FormulaSet, Imp, Letter, Neg, Or, letters, parse
 from paramat.matrix import builtin, goedel, load_matrix, lukasiewicz
 from paramat.semantics import (
@@ -24,6 +26,9 @@ from paramat.semantics import (
 )
 
 F0, FH, F1 = Fraction(0), Fraction(1, 2), Fraction(1)
+# the small audit budget of tests/test_audit.py and the JSON of its grid
+SMALL = audit.AuditBudget(samples=40, depth=3, letters=3, gamma_size=5, seed=0)
+GOLDEN_SMALL = Path(__file__).parent / "data" / "run_table_small.json"
 L3, G3, K3, CL2 = (builtin(n) for n in ("l3", "g3", "k3", "cl2"))
 P, Q = Letter("p"), Letter("q")
 
@@ -282,25 +287,94 @@ def three_letter_formulas():
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(ENGINE_MATRICES),
+    st.sampled_from(ENGINE_MATRICES),
     st.lists(three_letter_formulas(), max_size=4),
     three_letter_formulas(),
     st.sets(st.sampled_from(["p", "q", "r", "s"])),
     # 1 puts every letter outside the block; 4 and 16 split the domain
     st.sampled_from([1, 4, 16, semantics._BLOCK]),
 )
-def test_engine_matches_reference_walk(m, gamma_list, alpha, extra, block):
+def test_engine_matches_reference_walk(m, other, gamma_list, alpha, extra, block):
     gamma = FormulaSet(gamma_list)
     names = gamma.letters() | extra
+    formulas = [*gamma, alpha]
+    domain = names | letters(alpha)
+    expected = {
+        id(x): (
+            _ref_countermodel(x, gamma, alpha),
+            bool(_ref_models(x, gamma, gamma.letters())),
+            _ref_models(x, gamma, names),
+            _ref_classify(x, alpha),
+            _ref_masks(x, formulas, domain),
+        )
+        for x in (m, other)
+    }
     with mock.patch.object(semantics, "_BLOCK", block):
-        result = entails(m, gamma, alpha)
-        assert result.countermodel == _ref_countermodel(m, gamma, alpha)
-        assert result.holds == (result.countermodel is None)
-        assert is_consistent(m, gamma) == bool(_ref_models(m, gamma, gamma.letters()))
-        assert models(m, gamma, names) == _ref_models(m, gamma, names)
-        assert classify(m, alpha) is _ref_classify(m, alpha)
-        formulas = [*gamma, alpha]
-        domain = names | letters(alpha)
-        assert para._formula_masks(m, formulas, domain) == _ref_masks(m, formulas, domain)
+        # every query twice, the second time read from the memo, with the
+        # other matrix asked over the same domains in between
+        for x in (m, other, m, other):
+            countermodel, consistent, its_models, its_class, masks = expected[id(x)]
+            result = entails(x, gamma, alpha)
+            assert result.countermodel == countermodel
+            assert result.holds == (result.countermodel is None)
+            assert is_consistent(x, gamma) == consistent
+            assert models(x, gamma, names) == its_models
+            assert classify(x, alpha) is its_class
+            assert para._formula_masks(x, formulas, domain) == masks
+
+
+def test_domain_cache_follows_the_block_size():
+    m = lukasiewicz(3)
+    names = {"p", "q", "r"}
+    assert len(list(semantics._blocks(m, names))) == 1
+    # a domain kept at the default size must not hide the smaller blocks
+    with mock.patch.object(semantics, "_BLOCK", 4):
+        assert len(list(semantics._blocks(m, names))) == 9
+        assert entails(m, FormulaSet([Or(P, Q)]), Letter("r")).countermodel == {
+            "p": F0, "q": F1, "r": F0,
+        }
+    assert len(list(semantics._blocks(m, names))) == 1
+
+
+def _audit_matrices(monkeypatch) -> list:
+    """The matrices of the grid's columns, recorded as `run_table` builds them."""
+    built = []
+    table_columns = audit.table_columns
+
+    def recording():
+        columns = table_columns()
+        built.extend(spec.matrix for spec in columns)
+        return columns
+
+    monkeypatch.setattr(audit, "table_columns", recording)
+    return built
+
+
+def _memo_sizes(m):
+    return len(m.memo), max((len(memo) for _, memo, _ in m.memo.values()), default=0)
+
+
+def test_memo_bounded_after_the_audit(monkeypatch):
+    matrices = _audit_matrices(monkeypatch)
+    audit.run_table(SMALL)
+    assert matrices
+    for m in matrices:
+        domains, largest = _memo_sizes(m)
+        assert 0 < domains <= semantics._DOMAINS
+        assert 0 < largest <= semantics._MEMO_SIZE
+
+
+def test_audit_unchanged_when_the_caches_keep_little(monkeypatch):
+    # with tiny bounds both caches are emptied again and again
+    matrices = _audit_matrices(monkeypatch)
+    monkeypatch.setattr(semantics, "_DOMAINS", 2)
+    monkeypatch.setattr(semantics, "_MEMO_SIZE", 3)
+    report = audit.run_table(SMALL)
+    for m in matrices:
+        domains, largest = _memo_sizes(m)
+        assert domains <= 2 and largest <= 3
+    text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    assert text == GOLDEN_SMALL.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("m", ENGINE_MATRICES, ids=lambda m: m.name)
