@@ -11,14 +11,21 @@ loop (``_sampled``) or an exact argument.  A checker returns only its
 witness of every FAILS.  Every cell is compared against the expected
 published value and mismatches are listed with their evidence instead of
 being silently corrected.
+
+``run_table`` decides the 96 cells in forked workers, one per CPU the
+process may run on; each cell has its own seeded stream, so the grid does
+not depend on which worker decides which cell.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import threading
+import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .formula import (
     And,
@@ -899,10 +906,16 @@ def check_property(spec: LogicSpec, prop: PropertyId, budget: AuditBudget) -> Ve
 
 @dataclass
 class AuditReport:
+    """The grid's verdicts and discrepancies; `seconds` (each cell's time),
+    `wall_s` and `workers` say how the run went and stay out of `to_json`."""
+
     budget: AuditBudget
     columns: tuple[str, ...]
     verdicts: dict[tuple[PropertyId, str], Verdict]
     discrepancies: list[dict] = field(default_factory=list)
+    seconds: dict[tuple[PropertyId, str], float] = field(default_factory=dict, compare=False)
+    wall_s: float = field(default=0.0, compare=False)
+    workers: int = field(default=1, compare=False)
 
     def to_json(self) -> dict:
         grid = {
@@ -950,34 +963,154 @@ class AuditReport:
         return [d for d in self.discrepancies if not d["known"]]
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _decide(
+    cells: Sequence[tuple[LogicSpec, PropertyId]], budget: AuditBudget, todo: Iterable[int]
+) -> Iterator[tuple[int, Verdict, float]]:
+    """Decide the cells numbered in `todo`: (number, verdict, seconds taken)."""
+    for i in todo:
+        spec, prop = cells[i]
+        started = time.perf_counter()
+        verdict = check_property(spec, prop, budget)
+        yield i, verdict, time.perf_counter() - started
+
+
+def _work(
+    cells: Sequence[tuple[LogicSpec, PropertyId]], budget: AuditBudget, tasks: int, sent: int
+) -> NoReturn:
+    """A forked worker: decide the cells whose numbers it reads from the pipe
+    `tasks`, one byte each, until the pipe is empty, and write what `_decide`
+    yielded, or the exception that stopped it, as one pickle to `sent`.  It
+    leaves through `os._exit`, so it neither flushes the stdio buffers nor
+    runs the exit hooks it inherited."""
+    import pickle
+    import signal
+
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        try:
+            todo = (byte[0] for byte in iter(lambda: os.read(tasks, 1), b""))
+            payload = list(_decide(cells, budget, todo)), None
+        except BaseException as exc:  # Ctrl-C too: the parent raises it again
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            payload = [], exc
+        with open(sent, "wb") as out:
+            pickle.dump(payload, out)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_join(
+    cells: Sequence[tuple[LogicSpec, PropertyId]], budget: AuditBudget, workers: int
+) -> list[tuple[int, Verdict, float]]:
+    """Decide `cells` in `workers` forked processes, in no particular order.
+
+    The workers pull cell numbers from one shared pipe, so one that drew
+    cheap cells takes more, and each sends back its verdicts on a pipe of
+    its own.  A cell that raises makes this raise the same exception, and
+    a worker that dies makes it raise RuntimeError.  Every worker is reaped
+    before this returns or raises.
+    """
+    import pickle
+    import signal
+
+    tasks, queue = os.pipe()
+    os.write(queue, bytes(range(len(cells))))  # 96 bytes fit in any pipe's buffer
+    os.close(queue)
+    streams = []
+    running: dict[int, BinaryIO] = {}  # pid -> the read end of its result pipe
+    try:
+        for _ in range(workers):
+            got, sent = os.pipe()
+            streams.append(open(got, "rb"))
+            # SIGINT waits until the child is inside `_work`'s try and the
+            # parent has its pid: a Ctrl-C in between would run the caller's
+            # code in the child, or leave a child that nothing reaps
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(cells, budget, tasks, sent)
+                running[pid] = streams[-1]
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+                os.close(sent)
+        decided = []
+        for pid, results in list(running.items()):
+            payload = results.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            if status < 0:
+                raise RuntimeError(f"audit worker {pid} was killed by signal {-status}")
+            if status > 0:
+                raise RuntimeError(f"audit worker {pid} exited with status {status}")
+            done, error = pickle.loads(payload)
+            if error is not None:
+                raise error
+            decided += done
+        return decided
+    finally:
+        os.close(tasks)
+        for stream in streams:
+            stream.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_table(budget: AuditBudget | None = None) -> AuditReport:
-    """Compute all 96 grid cells and compare them to the published table."""
+    """Compute all 96 grid cells and compare them to the published table.
+
+    The cells are decided in one forked worker per CPU in the process's
+    affinity; with one CPU, without `os.fork`, or while other threads run
+    (a fork copies the locks they hold), in this process.
+    """
     budget = budget or AuditBudget()
     budget.validate()
     columns = table_columns()
-    verdicts: dict[tuple[PropertyId, str], Verdict] = {}
-    discrepancies: list[dict] = []
-    for prop in TABLE_ROWS:
-        for spec, col, expected in zip(columns, COLUMN_NAMES, PUBLISHED_TABLE[prop]):
-            verdict = check_property(spec, prop, budget)
-            verdicts[(prop, col)] = verdict
-            computed = {Outcome.HOLDS: True, Outcome.FAILS: False}.get(verdict.outcome)
-            if computed != expected:
-                discrepancies.append(
-                    {
-                        "cell": f"{prop.value}/{col}",
-                        "published": expected,
-                        "computed": computed,
-                        "evidence": verdict.witness,
-                        "known": (prop, col) in KNOWN_DISCREPANCIES,
-                    }
-                )
-    return AuditReport(
-        budget=budget,
-        columns=COLUMN_NAMES,
-        verdicts=verdicts,
-        discrepancies=discrepancies,
-    )
+    grid = [
+        (prop, spec, col, expected)
+        for prop in TABLE_ROWS
+        for spec, col, expected in zip(columns, COLUMN_NAMES, PUBLISHED_TABLE[prop])
+    ]
+    cells = [(spec, prop) for prop, spec, _, _ in grid]
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(_cpu_count(), len(cells)) if can_fork else 1
+    started = time.perf_counter()
+    if workers == 1:
+        decided = list(_decide(cells, budget, range(len(cells))))
+    else:
+        decided = _fork_join(cells, budget, workers)
+    wall_s = time.perf_counter() - started
+    decided.sort(key=lambda item: item[0])
+    report = AuditReport(budget, COLUMN_NAMES, {}, wall_s=wall_s, workers=workers)
+    for (prop, _, col, expected), (_, verdict, seconds) in zip(grid, decided, strict=True):
+        report.verdicts[(prop, col)] = verdict
+        report.seconds[(prop, col)] = seconds
+        computed = {Outcome.HOLDS: True, Outcome.FAILS: False}.get(verdict.outcome)
+        if computed != expected:
+            report.discrepancies.append(
+                {
+                    "cell": f"{prop.value}/{col}",
+                    "published": expected,
+                    "computed": computed,
+                    "evidence": verdict.witness,
+                    "known": (prop, col) in KNOWN_DISCREPANCIES,
+                }
+            )
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,21 @@ def _with_budget(func):
     return func
 
 
-def _run_audit(fmt, samples, depth, letters, gamma_size, seed, text_grid: bool) -> None:
+def _echo_stats(report) -> None:
+    """How the grid's time went, and its five slowest cells, on stderr."""
+    click.echo(
+        f"stats: {len(report.seconds)} cells on {report.workers} worker(s) in "
+        f"{report.wall_s:.2f} s wall, {sum(report.seconds.values()):.2f} s summed over cells",
+        err=True,
+    )
+    slowest = sorted(report.seconds.items(), key=lambda item: item[1], reverse=True)
+    for (prop, col), seconds in slowest[:5]:
+        click.echo(f"  {prop.value}/{col}: {seconds:.3f} s", err=True)
+
+
+def _run_audit(
+    fmt, samples, depth, letters, gamma_size, seed, text_grid: bool, stats: bool = False
+) -> None:
     budget = _budget_or_exit(samples, depth, letters, gamma_size, seed)
     report = run_table(budget)
     if fmt == "json":
@@ -329,15 +343,22 @@ def _run_audit(fmt, samples, depth, letters, gamma_size, seed, text_grid: bool) 
                 f"discrepancy {d['cell']}: published={d['published']} "
                 f"computed={d['computed']} [{tag}]"
             )
+    if stats:
+        _echo_stats(report)
     sys.exit(EXIT_FAILS if report.unexpected_discrepancies() else EXIT_HOLDS)
 
 
 @main.command("audit")
 @_format_option
 @_with_budget
-def cmd_audit(fmt, samples, depth, letters, gamma_size, seed) -> None:
+@click.option(
+    "--stats",
+    is_flag=True,
+    help="Print the grid's times and its five slowest cells to stderr.",
+)
+def cmd_audit(fmt, samples, depth, letters, gamma_size, seed, stats) -> None:
     """Audit all 16 properties across the six logics; list discrepancies."""
-    _run_audit(fmt, samples, depth, letters, gamma_size, seed, text_grid=False)
+    _run_audit(fmt, samples, depth, letters, gamma_size, seed, text_grid=False, stats=stats)
 
 
 @main.command("table")

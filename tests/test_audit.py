@@ -1,6 +1,12 @@
 """Auditor tests: claim replay, per-cell verdicts, and the full results grid."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -252,6 +258,107 @@ class TestRunTable:
         assert any("explosive" in line for line in lines)
         assert "✓" in text and "×" in text
         assert "Discrepancies:" in text
+
+
+def _no_child_left() -> bool:
+    """True when this process has no child, running or zombie."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _raising(exc):
+    """A `check_property` that raises `exc` on every cell, so that each
+    worker stops at its first cell, and the workers not read first must
+    still be reaped."""
+
+    def checking(spec, prop, budget):
+        raise exc
+
+    return checking
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_grid_and_cleanup_on_any_worker_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(audit, "_cpu_count", lambda: cpus)
+        report = run_table(SMALL)
+        assert report.workers == cpus
+        text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+        assert text == GOLDEN_SMALL.read_text(encoding="utf-8")
+        assert _no_child_left()
+
+    def test_no_fork_while_other_threads_run(self, monkeypatch):
+        monkeypatch.setattr(audit, "_cpu_count", lambda: 2)
+        stop = threading.Event()
+        waiting = threading.Thread(target=stop.wait)
+        waiting.start()
+        try:
+            assert run_table(SMALL).workers == 1
+        finally:
+            stop.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive()
+
+    def test_every_cell_timed(self, report):
+        assert set(report.seconds) == set(report.verdicts)
+        assert all(s > 0 for s in report.seconds.values())
+        assert report.wall_s > 0
+        # the per-cell times say how the run went, not what it found
+        assert "seconds" not in json.dumps(report.to_json())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_raising_cells_raise_their_exception(self, monkeypatch, cpus):
+        monkeypatch.setattr(audit, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(audit, "check_property", _raising(ZeroDivisionError("cell broke")))
+        with pytest.raises(ZeroDivisionError, match="cell broke"):
+            run_table(SMALL)
+        assert _no_child_left()
+
+    def test_an_exception_that_cannot_be_pickled_keeps_its_name(self, monkeypatch):
+        class Odd(Exception):  # local, so pickle cannot name it
+            pass
+
+        monkeypatch.setattr(audit, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(audit, "check_property", _raising(Odd("cell broke")))
+        with pytest.raises(RuntimeError, match="^Odd: cell broke$"):
+            run_table(SMALL)
+        assert _no_child_left()
+
+    def test_a_killed_worker_makes_the_grid_raise(self):
+        # in a subprocess, so that a grid that hangs fails on the timeout
+        script = """
+import os, signal
+from paramat import audit
+check_property = audit.check_property
+def killing(spec, prop, budget):
+    if (prop, spec.name) == (audit.PropertyId.MONOTONICITY, "G3"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return check_property(spec, prop, budget)
+audit.check_property = killing
+audit._cpu_count = lambda: 2
+try:
+    audit.run_table(audit.AuditBudget(samples=20))
+except RuntimeError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+        src = Path(audit.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.fullmatch(rf"audit worker \d+ was killed by signal {signal.SIGKILL:d}\nno child left\n", proc.stdout)
+        assert proc.stderr == ""
 
 
 class TestWitnessSuites:

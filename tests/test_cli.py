@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,10 +14,17 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import paramat
-from paramat import cli
+from paramat import audit, cli
 from paramat.cli import main
 from paramat.formula import MAX_DEPTH
 from paramat.matrix import builtin, matrix_to_document
+
+GOLDEN_AUDIT = Path(__file__).parent / "data" / "audit_seed0.json"
+
+
+def _cli_env() -> dict:
+    """The environment for a `python -m paramat` subprocess."""
+    return {**os.environ, "PYTHONPATH": str(Path(paramat.__file__).resolve().parents[1])}
 
 
 @pytest.fixture
@@ -83,6 +92,22 @@ class TestInternalError:
         assert result.exit_code == 4
         assert result.output == "error: internal error: RuntimeError: table broken\n"
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_raising_cell_exits_4(self, runner, monkeypatch, cpus):
+        # with two workers the exception is raised in one and re-raised here
+        decide = audit.check_property
+
+        def broken(spec, prop, budget):
+            if (prop, spec.name) == (audit.PropertyId.IDEMPOTENCY, "P(G3)"):
+                raise ZeroDivisionError("cell broke")
+            return decide(spec, prop, budget)
+
+        monkeypatch.setattr(audit, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(audit, "check_property", broken)
+        result = runner.invoke(main, ["audit", "--samples", "5"])
+        assert result.exit_code == 4
+        assert result.output == "error: internal error: ZeroDivisionError: cell broke\n"
+
     def test_usage_errors_keep_their_codes(self, runner):
         assert runner.invoke(main, ["entails", "--para", "3", "p", "q"]).exit_code == 2
         assert runner.invoke(main, ["nosuchcommand"]).exit_code == 2
@@ -107,15 +132,53 @@ class TestInterrupt:
         assert result.exit_code == 130
         assert result.output == "error: interrupted\n"
 
+    @pytest.mark.parametrize("to_group", [True, False], ids=["process-group", "parent-only"])
+    def test_sigint_mid_grid_exits_130(self, to_group):
+        # Ctrl-C reaches the whole process group, workers included; `kill -INT`
+        # only the parent.  Either way: one line, and no worker left behind.
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("the grid forks no workers on one CPU")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "paramat", "audit", "--samples", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_cli_env(),
+            start_new_session=True,
+        )
+        try:
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                if not children.exists():
+                    pytest.skip("this kernel does not list a process's children")
+                if len(children.read_text().split()) > 1:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("the audit forked no workers")
+            time.sleep(0.3)  # the workers are deciding cells by now
+            if to_group:
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                os.kill(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert (out, err) == ("", "error: interrupted\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # nothing is left in the audit's process group
+
 
 def test_python_m_paramat_runs_the_cli():
-    src = Path(paramat.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
         [sys.executable, "-m", "paramat", "classify", "--logic", "g3", "p & ~p"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_cli_env(),
         timeout=60,
     )
     assert proc.returncode == 0
@@ -275,6 +338,16 @@ class TestAudit:
         assert result.exit_code == 0
         assert "Summary of results" in result.output
         assert "✓" in result.output
+
+    def test_stats_go_to_stderr(self, runner):
+        result = runner.invoke(main, ["audit", "--stats", "--format", "json", "--seed", "0"])
+        assert result.exit_code == 0
+        assert result.stdout == GOLDEN_AUDIT.read_text(encoding="utf-8")
+        head, *slowest = result.stderr.splitlines()
+        assert re.fullmatch(r"stats: 96 cells on \d+ worker\(s\) in [\d.]+ s wall, [\d.]+ s summed over cells", head)
+        assert len(slowest) == 5
+        times = [float(re.fullmatch(r"  \w+/[\w()]+: ([\d.]+) s", line)[1]) for line in slowest]
+        assert times == sorted(times, reverse=True)
 
     def test_json_byte_identical(self, runner):
         args = ["audit", "--format", "json", "--samples", "25", "--seed", "3"]
