@@ -49,8 +49,9 @@ from .para import (
 )
 from .semantics import (
     _binary_masks,
+    _blocks,
     _designated,
-    _domain_masks,
+    _masks,
     _neg_masks,
     classify,
     entails,
@@ -539,10 +540,12 @@ def _bounded_conjunctive_refutation(cell: _Cell) -> Decision:
             Method.BOUNDED,
             notes="probe premises do not hold for this matrix",
         )
-    (vec_p, vec_q, *probes), full = _domain_masks(
-        m, [P, Q, probe_a, probe_b, probe_q], {"p", "q"}
+    # at most MAX_VALUES ** 2 valuations, so one block; unpacking checks it
+    ((_, letter_masks, memo, full),) = _blocks(m, {"p", "q"})
+    mask_a, mask_b, mask_q = (
+        _designated(m, _masks(m, probe, letter_masks, memo))
+        for probe in (probe_a, probe_b, probe_q)
     )
-    mask_a, mask_b, mask_q = (_designated(m, vec) for vec in probes)
 
     def candidate_passes(mask: int) -> bool:
         if mask == 0:
@@ -552,7 +555,7 @@ def _bounded_conjunctive_refutation(cell: _Cell) -> Decision:
         return mask & ~mask_a == 0 and mask & ~mask_b == 0 and mask & ~mask_q != 0
 
     reached: dict[tuple, Formula] = {}
-    level: dict[tuple, Formula] = {tuple(vec_p): P, tuple(vec_q): Q}
+    level: dict[tuple, Formula] = {letter_masks["p"]: P, letter_masks["q"]: Q}
     checked = 0
     for step in range(cell.budget.depth + 1):
         if step:

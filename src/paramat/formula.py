@@ -354,10 +354,3 @@ def draw_formula(rng: random.Random, names: list[str], max_depth: int) -> Formul
         draw_formula(rng, names, max_depth - 1),
     )
 
-
-def random_formula(names: Iterable[str], max_depth: int, seed: int) -> Formula:
-    """Seed-deterministic random formula over `names` with depth <= `max_depth`."""
-    sorted_names = sorted(set(names))
-    if not sorted_names:
-        raise ValueError("letter set must be nonempty")
-    return draw_formula(random.Random(seed), sorted_names, max_depth)

@@ -20,6 +20,10 @@ Value = Fraction
 
 BUILTIN_NAMES = ("l3", "g3", "k3", "cl2")
 
+# The most values a matrix may have.  The evaluation engine's blocks hold its
+# square, so the valuations over two letters always fit in one block.
+MAX_VALUES = 64
+
 _VALUE_TOKEN_RE = re.compile(r"-?\d+(/\d+)?")
 
 
@@ -95,6 +99,8 @@ class Matrix:
             object.__setattr__(self, name, value)
 
     def validate(self) -> None:
+        if len(self.values) > MAX_VALUES:
+            raise MatrixError(f"a matrix has at most {MAX_VALUES} values")
         value_set = set(self.values)
         if len(self.values) != len(value_set) or not self.values:
             raise MatrixError("values must be a nonempty set of distinct rationals")
@@ -148,6 +154,8 @@ def lukasiewicz(n: int) -> Matrix:
     """The n-valued Lukasiewicz matrix: evenly spaced values in [0, 1], D = {1}."""
     if n < 2:
         raise MatrixError("lukasiewicz family requires n >= 2")
+    if n > MAX_VALUES:
+        raise MatrixError(f"lukasiewicz family requires n <= {MAX_VALUES}")
     return _build(
         f"L{n}",
         _evenly_spaced(n),
@@ -161,6 +169,8 @@ def goedel(n: int) -> Matrix:
     """The n-valued Goedel matrix: evenly spaced values in [0, 1], D = {1}."""
     if n < 2:
         raise MatrixError("goedel family requires n >= 2")
+    if n > MAX_VALUES:
+        raise MatrixError(f"goedel family requires n <= {MAX_VALUES}")
     return _build(
         f"G{n}",
         _evenly_spaced(n),

@@ -8,6 +8,11 @@ membership set of some valuation that refutes the target.  A subset entails
 a target at depth 1 when one of its subsets is in the target's entailing
 table, so depth 2 up-closes those tables: the zeta transform of Björklund,
 Husfeldt, Kaski and Koivisto (STOC 2007).  Each closure is n shift-and-mask steps.
+
+The tables are built from the engine's blocks of at most 2^12 valuations, one
+block at a time, so memory is O(2^n + block) whatever the number of letters;
+time still grows with the number of valuations.  n is at most the fixed
+DEFAULT_SUBSET_BOUND.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .formula import Formula, FormulaSet, Letter, letters
 from .matrix import Matrix
-from .semantics import _designated, _domain_masks, entails
+from .semantics import _blocks, _designated, _masks, entails
 
 # Not called here; perfbench's tracer test wraps `evaluate` at this binding.
 from .semantics import evaluate  # noqa: F401
@@ -28,7 +33,7 @@ DEFAULT_SUBSET_BOUND = 16
 
 
 class SubsetBoundError(ValueError):
-    """Premise set larger than the configured subset-enumeration bound."""
+    """Premise set larger than DEFAULT_SUBSET_BOUND, the fixed subset bound."""
 
 
 @dataclass
@@ -59,25 +64,6 @@ class LogicSpec:
         return label
 
 
-def _check_bound(gamma: FormulaSet, bound: int) -> None:
-    if len(gamma) > bound:
-        raise SubsetBoundError(
-            f"premise set of size {len(gamma)} exceeds the bound {bound}"
-        )
-
-
-def _formula_masks(
-    m: Matrix, formulas: list[Formula], names: set[str]
-) -> tuple[list[int], int]:
-    """Bitmask of satisfying valuations over `names` for each formula.
-
-    Bit i corresponds to the i-th valuation in `semantics.valuations` order.
-    Returns the masks and the all-ones mask.
-    """
-    value_masks, full = _domain_masks(m, formulas, names)
-    return [_designated(m, masks) for masks in value_masks], full
-
-
 def _membership_sets(member_masks: list[int], full: int) -> list[tuple[int, int]]:
     """Each distinct set of members designated together, with the mask of the
     valuations designating exactly it.  Splitting member by member and dropping
@@ -104,12 +90,8 @@ def _with_member(n: int) -> tuple[int, ...]:
     return (*(t | t << half for t in _with_member(n - 1)), ((1 << half) - 1) << half)
 
 
-def _below(parts: list[tuple[int, int]], valuations: int, n: int) -> int:
-    """The table of the subsets of the membership sets of `valuations`."""
-    table = 0
-    for members, vals in parts:
-        if vals & valuations:
-            table |= 1 << members
+def _down(table: int, n: int) -> int:
+    """The table closed under taking subsets."""
     for i, has in enumerate(_with_member(n)):
         table |= (table & has) >> (1 << i)
     return table
@@ -123,16 +105,32 @@ def _up(table: int, n: int) -> int:
 
 
 def _tables(
-    m: Matrix, gamma: FormulaSet, bound: int, targets: Sequence[Formula] = ()
+    m: Matrix, gamma: FormulaSet, targets: Sequence[Formula] = ()
 ) -> tuple[int, list[int]]:
-    """The consistent table of `gamma` and the entailing table of each target."""
-    _check_bound(gamma, bound)
+    """The consistent table of `gamma` and the entailing table of each target.
+
+    Built one block of valuations at a time: each block's membership sets go
+    into the consistent table, and into a target's refuted table where a
+    valuation of theirs refutes the target; both are down-closed at the end.
+    """
     n = len(gamma)
+    if n > DEFAULT_SUBSET_BOUND:
+        raise SubsetBoundError(
+            f"premise set of size {n} exceeds the bound {DEFAULT_SUBSET_BOUND}"
+        )
     domain = gamma.letters().union(*map(letters, targets))
-    masks, full = _formula_masks(m, [*gamma, *targets], domain)
-    parts = _membership_sets(masks[:n], full)
-    consistent = _below(parts, full, n)
-    return consistent, [consistent & ~_below(parts, full ^ t, n) for t in masks[n:]]
+    consistent = 0
+    refuted = [0] * len(targets)
+    for _, letter_masks, memo, full in _blocks(m, domain):
+        member_masks = [_designated(m, _masks(m, g, letter_masks, memo)) for g in gamma]
+        target_masks = [_designated(m, _masks(m, t, letter_masks, memo)) for t in targets]
+        for members, vals in _membership_sets(member_masks, full):
+            consistent |= 1 << members
+            for i, mask in enumerate(target_masks):
+                if vals & ~mask:
+                    refuted[i] |= 1 << members
+    consistent = _down(consistent, n)
+    return consistent, [consistent & ~_down(table, n) for table in refuted]
 
 
 def _in_canonical_order(gamma: FormulaSet, table: int) -> Iterator[FormulaSet]:
@@ -150,21 +148,17 @@ def _members_of(gamma: FormulaSet, bits: int) -> FormulaSet:
     return FormulaSet(f for i, f in enumerate(gamma) if bits & (1 << i))
 
 
-def consistent_subsets(
-    m: Matrix, gamma: FormulaSet, bound: int = DEFAULT_SUBSET_BOUND
-) -> Iterator[FormulaSet]:
+def consistent_subsets(m: Matrix, gamma: FormulaSet) -> Iterator[FormulaSet]:
     """All consistent subsets of `gamma`, each once; the empty set is always one."""
-    consistent, _ = _tables(m, gamma, bound)
+    consistent, _ = _tables(m, gamma)
     yield from _in_canonical_order(gamma, consistent)
 
 
-def maximal_consistent_subsets(
-    m: Matrix, gamma: FormulaSet, bound: int = DEFAULT_SUBSET_BOUND
-) -> list[FormulaSet]:
+def maximal_consistent_subsets(m: Matrix, gamma: FormulaSet) -> list[FormulaSet]:
     """The inclusion-maximal consistent subsets of `gamma`, in canonical order:
     the consistent subsets with no consistent one-member extension."""
     n = len(gamma)
-    consistent, _ = _tables(m, gamma, bound)
+    consistent, _ = _tables(m, gamma)
     extendable = 0
     for i, has in enumerate(_with_member(n)):
         extendable |= (consistent & has) >> (1 << i)
@@ -173,15 +167,13 @@ def maximal_consistent_subsets(
     return sorted(out, key=lambda s: tuple(str(f) for f in s))
 
 
-def para_entails(
-    m: Matrix, gamma: FormulaSet, alpha: Formula, bound: int = DEFAULT_SUBSET_BOUND
-) -> ParaResult:
+def para_entails(m: Matrix, gamma: FormulaSet, alpha: Formula) -> ParaResult:
     """Does some consistent subset of `gamma` entail `alpha`?
 
     Read from the entailing table of `alpha`, built for all 2^n subsets at
     once; the witness is its smallest subset, ties broken by canonical order.
     """
-    _, (entailing,) = _tables(m, gamma, bound, [alpha])
+    _, (entailing,) = _tables(m, gamma, [alpha])
     if not entailing:
         return ParaResult(False)
     return ParaResult(True, next(_in_canonical_order(gamma, entailing)))
@@ -195,9 +187,7 @@ def fresh_letter(used: set[str]) -> Formula:
     return Letter(f"q{i}")
 
 
-def is_para_consistent(
-    m: Matrix, gamma: FormulaSet, bound: int = DEFAULT_SUBSET_BOUND
-) -> bool:
+def is_para_consistent(m: Matrix, gamma: FormulaSet) -> bool:
     """Is the transformed consequence set of `gamma` a proper subset of all formulas?
 
     Decided by the fresh-letter test: a letter outside `gamma` is a transformed
@@ -205,15 +195,10 @@ def is_para_consistent(
     consistent subset extends with the fresh letter mapped to a non-designated
     value.  Exact for finite sets over a proper designated set.
     """
-    return not para_entails(m, gamma, fresh_letter(gamma.letters()), bound).holds
+    return not para_entails(m, gamma, fresh_letter(gamma.letters())).holds
 
 
-def logic_entails(
-    spec: LogicSpec,
-    gamma: FormulaSet,
-    alpha: Formula,
-    bound: int = DEFAULT_SUBSET_BOUND,
-) -> bool:
+def logic_entails(spec: LogicSpec, gamma: FormulaSet, alpha: Formula) -> bool:
     """Entailment at the configured transform depth.
 
     Depth 0 is plain matrix entailment; depth 1 asks for a consistent subset;
@@ -223,7 +208,7 @@ def logic_entails(
     if spec.para_depth == 0:
         return entails(spec.matrix, gamma, alpha).holds
     if spec.para_depth == 1:
-        return para_entails(spec.matrix, gamma, alpha, bound).holds
+        return para_entails(spec.matrix, gamma, alpha).holds
     fresh = fresh_letter(gamma.letters() | letters(alpha))
-    _, (to_alpha, to_fresh) = _tables(spec.matrix, gamma, bound, [alpha, fresh])
+    _, (to_alpha, to_fresh) = _tables(spec.matrix, gamma, [alpha, fresh])
     return _up(to_alpha, len(gamma)) & ~_up(to_fresh, len(gamma)) != 0

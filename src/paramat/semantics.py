@@ -9,7 +9,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .formula import And, Formula, FormulaSet, Letter, Neg, Or, letters, render
-from .matrix import Matrix, Value
+from .matrix import MAX_VALUES, Matrix, Value
 
 Valuation = dict[str, Value]
 
@@ -74,7 +74,7 @@ def valuations(m: Matrix, names: Iterable[str]) -> Iterator[Valuation]:
 # costs memory when queries keep naming new letters.  A domain of several
 # blocks gets a fresh memo per block.
 
-_BLOCK = 1 << 12
+_BLOCK = MAX_VALUES**2  # 2^12, so two letters' valuations fit in one block
 _DOMAINS = 4
 _MEMO_SIZE = 256
 
@@ -200,33 +200,6 @@ def _set_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _domain_masks(
-    m: Matrix, formulas: Sequence[Formula], names: Iterable[str]
-) -> tuple[list[list[int]], int]:
-    """The value masks of each formula over the whole domain `names`, each
-    value's block masks joined in block order, and the all-ones mask."""
-    parts: list[list[list[int]]] = [[[] for _ in m.values] for _ in formulas]
-    count = 0
-    for count, (_, letter_masks, memo, full) in enumerate(_blocks(m, names), 1):
-        for part, f in zip(parts, formulas):
-            for blocks, mask in zip(part, _masks(m, f, letter_masks, memo)):
-                blocks.append(mask)
-    width = full.bit_length()
-    joined = [[_join(blocks, width) for blocks in part] for part in parts]
-    return joined, (1 << width * count) - 1
-
-
-def _join(blocks: list[int], width: int) -> int:
-    """The concatenation of equal-width blocks, the first lowest, in
-    O(total bits × log(number of blocks))."""
-    while len(blocks) > 1:
-        if len(blocks) % 2:
-            blocks.append(0)
-        blocks = [lo | hi << width for lo, hi in zip(blocks[::2], blocks[1::2])]
-        width *= 2
-    return blocks[0]
 
 
 def models(

@@ -253,6 +253,15 @@ class TestSelectors:
         result = runner.invoke(main, ["entails", "--logic", "ln:1", "p", "p"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("selector", ["ln:100000", "gn:100000"])
+    def test_parametric_too_many_values(self, runner, selector):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["classify", "--logic", selector, "p"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+
     def test_parametric_bad_number(self, runner):
         result = runner.invoke(main, ["entails", "--logic", "ln:x", "p", "p"])
         assert result.exit_code == 2

@@ -11,6 +11,8 @@ import pytest
 
 from paramat.matrix import (
     BUILTIN_NAMES,
+    MAX_VALUES,
+    Matrix,
     MatrixError,
     builtin,
     format_value,
@@ -127,6 +129,20 @@ class TestFamilies:
             lukasiewicz(n)
         with pytest.raises(MatrixError):
             goedel(n)
+
+    def test_value_cap(self):
+        assert len(lukasiewicz(MAX_VALUES).values) == len(goedel(MAX_VALUES).values) == 64
+        with pytest.raises(MatrixError):
+            lukasiewicz(MAX_VALUES + 1)
+        with pytest.raises(MatrixError):
+            goedel(MAX_VALUES + 1)
+
+    def test_too_many_values_rejected(self):
+        values = tuple(Fraction(i, MAX_VALUES) for i in range(MAX_VALUES + 1))
+        table = {(x, y): max(x, y) for x in values for y in values}
+        neg = {x: 1 - x for x in values}
+        with pytest.raises(MatrixError, match="at most 64 values"):
+            Matrix("M65", values, frozenset([F1]), neg, table, table, table)
 
 
 class TestDocuments:

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -32,7 +33,7 @@ from paramat.para import (
     maximal_consistent_subsets,
     para_entails,
 )
-from paramat.semantics import entails, is_consistent
+from paramat.semantics import entails, evaluate, is_consistent, valuations
 
 L3, G3, K3, CL2 = (builtin(n) for n in ("l3", "g3", "k3", "cl2"))
 P, Q = Letter("p"), Letter("q")
@@ -219,8 +220,14 @@ def walk_depth2(m, gamma, alpha):
     n = len(gamma)
     fresh = fresh_letter(gamma.letters() | letters(alpha))
     domain = gamma.letters() | letters(alpha) | {fresh.name}
-    masks, full = para._formula_masks(m, [*gamma, alpha, fresh], domain)
-    member_masks, alpha_mask, fresh_mask = masks[:n], masks[n], masks[n + 1]
+    grid = list(valuations(m, domain))
+    full = (1 << len(grid)) - 1
+
+    def mask(f):
+        return sum(1 << i for i, v in enumerate(grid) if evaluate(m, v, f) in m.designated)
+
+    member_masks = [mask(g) for g in gamma]
+    alpha_mask, fresh_mask = mask(alpha), mask(fresh)
     and_masks = [full] * (1 << n)
     for t in range(1, 1 << n):
         low = t & -t
@@ -283,8 +290,7 @@ def test_closures_match_their_definitions(n, table):
     given_sets = [s for s in range(1 << n) if table >> s & 1]
     below = [s for s in range(1 << n) if any(s & t == s for t in given_sets)]
     above = [s for s in range(1 << n) if any(s & t == t for t in given_sets)]
-    parts = [(s, 1) for s in given_sets]  # each set designated at valuation 0
-    assert para._below(parts, 1, n) == sum(1 << s for s in below)
+    assert para._down(table, n) == sum(1 << s for s in below)
     assert para._up(table, n) == sum(1 << s for s in above)
 
 
@@ -323,3 +329,27 @@ def test_twelve_premises_over_ten_letters(m):
         FormulaSet(f for f in gamma if f != xs[0]),
     ]
     assert elapsed < 1.0
+
+
+def _excluded_middles(n):
+    """p_i | ~p_i for n letters: every one of the 2^n membership sets occurs."""
+    return FormulaSet(Or(Letter(f"p{i}"), Neg(Letter(f"p{i}"))) for i in range(n))
+
+
+def test_subset_tables_memory_does_not_follow_the_domain():
+    # one mask of 3^12 bits per membership set would peak at about 300 MB
+    gamma = _excluded_middles(12)
+    tracemalloc.start()
+    try:
+        result = maximal_consistent_subsets(L3, gamma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == [gamma]
+    assert peak < 8 * 2**20
+
+
+def test_fourteen_letters_of_subsets():
+    gamma = _excluded_middles(14)
+    result, elapsed = _timed(lambda: maximal_consistent_subsets(L3, gamma))
+    assert result == [gamma] and elapsed < 2.0

@@ -270,6 +270,23 @@ def _ref_masks(m, formulas, names):
     return masks, (1 << len(grid)) - 1
 
 
+def _ref_tables(m, gamma, alpha, names):
+    """The consistent table of `gamma` and the entailing table of `alpha`,
+    subset by subset from the reference masks."""
+    (*member_masks, alpha_mask), full = _ref_masks(m, [*gamma, alpha], names)
+    consistent = entailing = 0
+    for s in range(1 << len(gamma)):
+        models = full
+        for i, mask in enumerate(member_masks):
+            if s >> i & 1:
+                models &= mask
+        if models:
+            consistent |= 1 << s
+            if not models & ~alpha_mask:
+                entailing |= 1 << s
+    return consistent, [entailing]
+
+
 def three_letter_formulas():
     leaves = st.sampled_from([Letter("p"), Letter("q"), Letter("r")])
     return st.recursive(
@@ -297,7 +314,6 @@ def three_letter_formulas():
 def test_engine_matches_reference_walk(m, other, gamma_list, alpha, extra, block):
     gamma = FormulaSet(gamma_list)
     names = gamma.letters() | extra
-    formulas = [*gamma, alpha]
     domain = names | letters(alpha)
     expected = {
         id(x): (
@@ -305,7 +321,7 @@ def test_engine_matches_reference_walk(m, other, gamma_list, alpha, extra, block
             bool(_ref_models(x, gamma, gamma.letters())),
             _ref_models(x, gamma, names),
             _ref_classify(x, alpha),
-            _ref_masks(x, formulas, domain),
+            _ref_tables(x, gamma, alpha, domain),
         )
         for x in (m, other)
     }
@@ -313,14 +329,14 @@ def test_engine_matches_reference_walk(m, other, gamma_list, alpha, extra, block
         # every query twice, the second time read from the memo, with the
         # other matrix asked over the same domains in between
         for x in (m, other, m, other):
-            countermodel, consistent, its_models, its_class, masks = expected[id(x)]
+            countermodel, consistent, its_models, its_class, tables = expected[id(x)]
             result = entails(x, gamma, alpha)
             assert result.countermodel == countermodel
             assert result.holds == (result.countermodel is None)
             assert is_consistent(x, gamma) == consistent
             assert models(x, gamma, names) == its_models
             assert classify(x, alpha) is its_class
-            assert para._formula_masks(x, formulas, domain) == masks
+            assert para._tables(x, gamma, [alpha]) == tables
 
 
 def test_domain_cache_follows_the_block_size():
@@ -388,7 +404,7 @@ def test_engine_empty_premises_and_domain(m):
     empty = FormulaSet()
     assert is_consistent(m, empty)
     assert models(m, empty) == [{}]
-    assert para._formula_masks(m, [], set()) == ([], 1)
+    assert para._tables(m, empty) == (1, [])
     assert entails(m, empty, P).countermodel == {"p": m.values[0]}
 
 
