@@ -167,7 +167,10 @@ class Verdict:
 
 @dataclass
 class Decision:
-    """A checker's verdict; ``check_property`` adds property, logic and bounds."""
+    """A checker's verdict; ``check_property`` adds property, logic and bounds.
+
+    `samples_run` counts the random draws the checker made before it stopped.
+    """
 
     outcome: Outcome
     method: Method
@@ -361,14 +364,14 @@ def _sampled(
     rng = cell.stream()
     names = cell.letters()
     hits = 0
-    for _ in range(cell.budget.samples):
+    for drawn in range(1, cell.budget.samples + 1):
         claims = draw(rng, names)
         if claims is None:
             continue
         hits += 1
         if claims:
             witness = {"description": description, "claims": claims}
-            return Decision(Outcome.FAILS, Method.SAMPLED, witness)
+            return Decision(Outcome.FAILS, Method.SAMPLED, witness, drawn)
     notes = f"{hits} samples had the antecedent" if count_hits else ""
     return Decision(Outcome.HOLDS, Method.SAMPLED, None, cell.budget.samples, notes)
 
@@ -459,8 +462,7 @@ def _check_joint_consistency(cell: _Cell) -> Decision:
         ]
         if replay_claims(cell.spec.matrix, claims):
             witness = {"description": f"witness x = {render(x)}", "claims": claims}
-            samples_run = samples if drawn else 0
-            return Decision(Outcome.HOLDS, Method.WITNESS, witness, samples_run)
+            return Decision(Outcome.HOLDS, Method.WITNESS, witness, drawn)
     witness = {"description": "no witness found within budget", "claims": []}
     return Decision(Outcome.FAILS, Method.BOUNDED, witness, samples)
 
@@ -490,7 +492,7 @@ def _check_conjunctive(cell: _Cell) -> Decision:
     if cell.spec.para_depth >= 1:
         return _bounded_conjunctive_refutation(cell)
     rng, names, depth = cell.stream(), cell.letters(), cell.budget.depth
-    for _ in range(cell.budget.samples):
+    for drawn in range(1, cell.budget.samples + 1):
         a = draw_formula(rng, names, depth)
         b = draw_formula(rng, names, depth)
         z = And(a, b)
@@ -502,6 +504,7 @@ def _check_conjunctive(cell: _Cell) -> Decision:
             return Decision(
                 Outcome.UNDECIDED,
                 Method.SAMPLED,
+                samples_run=drawn,
                 notes=f"conjunction is not equivalent to the pair "
                 f"({render(a)}, {render(b)}); other combiners not searched",
             )

@@ -3,16 +3,22 @@
 The language has negation, disjunction, conjunction and implication over
 propositional letters.  ASCII connectives are ``~ | & ->`` with the Unicode
 aliases ``¬ ∨ ∧ →`` accepted on input.  Precedence is ``~ > & > | > ->`` and
-``->`` associates to the right.  The parser rejects formulas, and
-parentheses, nested deeper than ``MAX_DEPTH``, so every recursive walk over a
-parsed formula stays inside Python's default recursion limit.
+``->`` associates to the right.
+
+Each node computes its canonical text (`render`), its letters and its depth
+from its children's when it is made, so none of the three walks the tree,
+and nodes compare and hash by their text, which is injective.  A node keeps
+its whole text, so a formula holds characters in proportion to its size
+times its depth.  Nodes are immutable by contract: nothing guards their
+fields, and nothing may assign to them after construction.  The parser
+rejects formulas, and parentheses, nested deeper than ``MAX_DEPTH``, so the
+recursive walks that remain stay inside Python's default recursion limit.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -24,88 +30,96 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
 class Formula:
-    # the canonical text, kept by the first `render` of this node; not part
-    # of equality, hashing or repr
-    _text: str | None = field(default=None, init=False, compare=False, repr=False)
+    """A formula node, with its `text`, its `letters` (a frozenset) and its
+    `depth`; the module docstring says how they are made."""
+
+    __slots__ = ("text", "letters", "depth")
+    _prec = 4  # binding strength: letters and negations bind tightest
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Formula):
+            return self.text == other.text
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
     def __str__(self) -> str:
-        return render(self)
+        return self.text
 
 
-@dataclass(frozen=True, slots=True)
 class Letter(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = self.text = name
+        self.letters = frozenset((name,))
+        self.depth = 0
+
+    def __repr__(self) -> str:
+        return f"Letter(name={self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Formula):
-    child: Formula
+    __slots__ = ("child",)
+
+    def __init__(self, child: Formula):
+        self.child = child
+        text = child.text
+        self.text = "~" + text if child._prec == 4 else "~(" + text + ")"
+        self.letters = child.letters
+        self.depth = child.depth + 1
+
+    def __repr__(self) -> str:
+        return f"Neg(child={self.child!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    # Set by each connective: its symbol, and the strongest binding a left or
+    # right child may have and still need parentheses.  "->" associates to the
+    # right, "|" and "&" to the left.
+    _sym: str
+    _wrap_left: int
+    _wrap_right: int
+
+    def __init__(self, left: Formula, right: Formula):
+        self.left = left
+        self.right = right
+        lt, rt = left.text, right.text
+        if left._prec <= self._wrap_left:
+            lt = "(" + lt + ")"
+        if right._prec <= self._wrap_right:
+            rt = "(" + rt + ")"
+        self.text = lt + self._sym + rt
+        a, b = left.letters, right.letters
+        self.letters = a if b <= a else b if a <= b else a | b
+        d, e = left.depth, right.depth
+        self.depth = (d if d > e else e) + 1
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+    _prec, _sym, _wrap_left, _wrap_right = 2, " | ", 1, 2
 
 
-@dataclass(frozen=True, slots=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
+    _prec, _sym, _wrap_left, _wrap_right = 3, " & ", 2, 3
 
 
-_BINARY_PREC = {Imp: 1, Or: 2, And: 3}
-_BINARY_SYM = {Imp: " -> ", Or: " | ", And: " & "}
-
-
-def _prec(f: Formula) -> int:
-    return _BINARY_PREC.get(type(f), 4)
+class Imp(_Binary):
+    __slots__ = ()
+    _prec, _sym, _wrap_left, _wrap_right = 1, " -> ", 1, 0
 
 
 def render(f: Formula) -> str:
-    """Minimal-parentheses text for `f`; ``parse(render(f)) == f``.
-
-    Distinct formulas have distinct texts.  Each node keeps its text once it
-    has been rendered, so rendering a formula again costs one lookup.
-    """
-    text = f._text
-    if text is None:
-        text = _render(f)
-        object.__setattr__(f, "_text", text)
-    return text
-
-
-def _render(f: Formula) -> str:
-    if isinstance(f, Letter):
-        return f.name
-    if isinstance(f, Neg):
-        inner = render(f.child)
-        if isinstance(f.child, (Letter, Neg)):
-            return "~" + inner
-        return "~(" + inner + ")"
-    prec = _BINARY_PREC[type(f)]
-    left, right = render(f.left), render(f.right)
-    if isinstance(f, Imp):
-        # right-associative: parenthesize an implication on the left
-        if _prec(f.left) <= prec:
-            left = "(" + left + ")"
-        if _prec(f.right) < prec:
-            right = "(" + right + ")"
-    else:
-        # left-associative: parenthesize an equal-precedence right child
-        if _prec(f.left) < prec:
-            left = "(" + left + ")"
-        if _prec(f.right) <= prec:
-            right = "(" + right + ")"
-    return left + _BINARY_SYM[type(f)] + right
+    """Minimal-parentheses text for `f`; ``parse(render(f)) == f``."""
+    return f.text
 
 
 _TOKEN_RE = re.compile(r"->|→|[~¬|∨&∧()]|[a-z][a-zA-Z0-9_]*")
@@ -132,15 +146,15 @@ def _tokenize(text: str) -> tuple[list[str | None], list[int]]:
     return kinds, positions
 
 
-# Parsing spends five stack frames per level of parentheses, and render,
-# letters, depth and evaluate one per connective, so formulas at most this
-# deep stay well inside Python's default recursion limit of 1000.
+# Parsing spends five stack frames per level of parentheses, and `evaluate`,
+# the engine's `_masks` and `repr` one or two per connective, so formulas at
+# most this deep stay well inside Python's default recursion limit of 1000.
 MAX_DEPTH = 100
 
 
 class _Parser:
-    """Recursive descent over the tokens.  Each rule returns its formula and
-    that formula's depth, so nothing deeper than MAX_DEPTH is built; only
+    """Recursive descent over the tokens.  Each rule checks the depth of the
+    nodes it builds, so nothing deeper than MAX_DEPTH is built; only
     parentheses recurse, and they too stop at MAX_DEPTH."""
 
     def __init__(self, text: str):
@@ -158,74 +172,63 @@ class _Parser:
     def _too_deep(self) -> ParseError:
         return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", self._pos())
 
-    def imp(self) -> tuple[Formula, int]:
-        f, d = self.dis()
-        if self.kinds[self.index] != "->":
-            return f, d
-        operands = [(f, d)]
+    def _bounded(self, f: Formula) -> Formula:
+        if f.depth > MAX_DEPTH:
+            raise self._too_deep()
+        return f
+
+    def imp(self) -> Formula:
+        operands = [self.dis()]
         while self.kinds[self.index] == "->":
             self.index += 1
             operands.append(self.dis())
-        f, d = operands.pop()
-        for left, e in reversed(operands):  # "->" associates to the right
-            d = 1 + (d if d > e else e)
-            if d > MAX_DEPTH:
-                raise self._too_deep()
-            f = Imp(left, f)
-        return f, d
+        f = operands.pop()
+        for left in reversed(operands):  # "->" associates to the right
+            f = self._bounded(Imp(left, f))
+        return f
 
-    def dis(self) -> tuple[Formula, int]:
-        f, d = self.con()
+    def dis(self) -> Formula:
+        f = self.con()
         while self.kinds[self.index] == "|":
             self.index += 1
-            right, e = self.con()
-            d = 1 + (d if d > e else e)
-            if d > MAX_DEPTH:
-                raise self._too_deep()
-            f = Or(f, right)
-        return f, d
+            f = self._bounded(Or(f, self.con()))
+        return f
 
-    def con(self) -> tuple[Formula, int]:
-        f, d = self.neg()
+    def con(self) -> Formula:
+        f = self.neg()
         while self.kinds[self.index] == "&":
             self.index += 1
-            right, e = self.neg()
-            d = 1 + (d if d > e else e)
-            if d > MAX_DEPTH:
-                raise self._too_deep()
-            f = And(f, right)
-        return f, d
+            f = self._bounded(And(f, self.neg()))
+        return f
 
-    def neg(self) -> tuple[Formula, int]:
+    def neg(self) -> Formula:
         start = self.index
         while self.kinds[self.index] == "~":
             self.index += 1
         count = self.index - start
-        f, d = self.atom()
-        if count:
-            d += count
-            if d > MAX_DEPTH:
-                raise self._too_deep()
-            for _ in range(count):
-                f = Neg(f)
-        return f, d
+        f = self.atom()
+        if f.depth + count > MAX_DEPTH:
+            raise self._too_deep()
+        for _ in range(count):
+            f = Neg(f)
+        return f
 
-    def atom(self) -> tuple[Formula, int]:
+    def atom(self) -> Formula:
         tok = self.kinds[self.index]
         if tok == "(":
             if self.open_parens == MAX_DEPTH:
                 raise self._too_deep()
             self.open_parens += 1
             self.index += 1
-            f, d = self.imp()
+            f = self.imp()
             if self.kinds[self.index] != ")":
                 raise ParseError("expected ')'", self._pos())
             self.index += 1
             self.open_parens -= 1
-            return f, d
+            return f
         if tok is not None and tok[0].isalpha():
             self.index += 1
-            return Letter(tok), 0
+            return Letter(tok)
         raise ParseError("expected a letter or '('", self._pos())
 
 
@@ -236,29 +239,21 @@ def parse(text: str) -> Formula:
     nested deeper than MAX_DEPTH.
     """
     parser = _Parser(text)
-    f, _ = parser.imp()
+    f = parser.imp()
     if parser.index != len(parser.positions):
         tok = parser.kinds[parser.index]
         raise ParseError(f"unexpected token {tok!r}", parser._pos())
     return f
 
 
-def letters(f: Formula) -> set[str]:
+def letters(f: Formula) -> frozenset[str]:
     """The set of letter names occurring in `f`."""
-    if isinstance(f, Letter):
-        return {f.name}
-    if isinstance(f, Neg):
-        return letters(f.child)
-    return letters(f.left) | letters(f.right)
+    return f.letters
 
 
 def depth(f: Formula) -> int:
     """Connective-nesting depth; a bare letter has depth 0."""
-    if isinstance(f, Letter):
-        return 0
-    if isinstance(f, Neg):
-        return 1 + depth(f.child)
-    return 1 + max(depth(f.left), depth(f.right))
+    return f.depth
 
 
 class FormulaSet:
@@ -267,13 +262,12 @@ class FormulaSet:
     __slots__ = ("formulas",)
 
     def __init__(self, formulas: Iterable[Formula] = ()):
-        # `render` is injective, so deduplicating by text is deduplicating by
-        # equality, without hashing whole trees.  The tuple is built from a
-        # list: built from a generator, it raised the default audit's peak
-        # traced memory from 0.4 to 0.8 MB.
+        # Formulas are equal exactly when their texts are.  The tuple is
+        # built from a list: built from a generator, it raised the default
+        # audit's peak traced memory from 0.4 to 0.8 MB.
         by_text: dict[str, Formula] = {}
         for f in formulas:
-            by_text.setdefault(render(f), f)
+            by_text.setdefault(f.text, f)
         self.formulas: tuple[Formula, ...] = tuple([by_text[t] for t in sorted(by_text)])
 
     @classmethod
@@ -282,11 +276,8 @@ class FormulaSet:
         parts = [part for part in text.split(",") if part.strip()]
         return cls(parse(part) for part in parts)
 
-    def letters(self) -> set[str]:
-        out: set[str] = set()
-        for f in self.formulas:
-            out |= letters(f)
-        return out
+    def letters(self) -> frozenset[str]:
+        return frozenset().union(*[f.letters for f in self.formulas])
 
     def union(self, other: Iterable[Formula]) -> "FormulaSet":
         return FormulaSet((*self.formulas, *other))
@@ -307,7 +298,7 @@ class FormulaSet:
         return hash(self.formulas)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(render(f) for f in self.formulas) + "}"
+        return "{" + ", ".join(f.text for f in self.formulas) + "}"
 
     def __repr__(self) -> str:
         return f"FormulaSet({list(self.formulas)!r})"

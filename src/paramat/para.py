@@ -22,7 +22,7 @@ from functools import cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .formula import Formula, FormulaSet, Letter, letters
+from .formula import Formula, FormulaSet, Letter
 from .matrix import Matrix
 from .semantics import _blocks, _designated, _masks, entails
 
@@ -118,7 +118,7 @@ def _tables(
         raise SubsetBoundError(
             f"premise set of size {n} exceeds the bound {DEFAULT_SUBSET_BOUND}"
         )
-    domain = gamma.letters().union(*map(letters, targets))
+    domain = gamma.letters().union(*[t.letters for t in targets])
     consistent = 0
     refuted = [0] * len(targets)
     for _, letter_masks, memo, full in _blocks(m, domain):
@@ -209,6 +209,6 @@ def logic_entails(spec: LogicSpec, gamma: FormulaSet, alpha: Formula) -> bool:
         return entails(spec.matrix, gamma, alpha).holds
     if spec.para_depth == 1:
         return para_entails(spec.matrix, gamma, alpha).holds
-    fresh = fresh_letter(gamma.letters() | letters(alpha))
+    fresh = fresh_letter(gamma.letters() | alpha.letters)
     _, (to_alpha, to_fresh) = _tables(spec.matrix, gamma, [alpha, fresh])
     return _up(to_alpha, len(gamma)) & ~_up(to_fresh, len(gamma)) != 0

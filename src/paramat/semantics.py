@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .formula import And, Formula, FormulaSet, Letter, Neg, Or, letters, render
+from .formula import And, Formula, FormulaSet, Letter, Neg, Or
 from .matrix import MAX_VALUES, Matrix, Value
 
 Valuation = dict[str, Value]
@@ -61,11 +61,11 @@ def valuations(m: Matrix, names: Iterable[str]) -> Iterator[Valuation]:
 # letters and a query that is decided early stops early.
 #
 # Each block has a memo of the masks of the subformulas evaluated over it,
-# keyed by their text (`render` is injective and each node keeps its text),
-# so a subformula shared by the formulas of a query, or asked for again by a
-# later query over the same domain, is evaluated once.  A domain that fits in
-# one block, as every domain of the default audit does, is kept in
-# `Matrix.memo` under (_BLOCK, its sorted letters): its letters' masks are
+# keyed by their text (each node carries it, and equal formulas have equal
+# texts), so a subformula shared by the formulas of a query, or asked for
+# again by a later query over the same domain, is evaluated once.  A domain
+# that fits in one block, as every domain of the default audit does, is kept
+# in `Matrix.memo` under (_BLOCK, its sorted letters): its letters' masks are
 # built once per matrix and its memo lives on from query to query.  Both
 # caches are bounded by constants, with no option: a matrix keeps its
 # _DOMAINS most recently used domains, and a memo at most _MEMO_SIZE masks
@@ -147,7 +147,7 @@ def _masks(m: Matrix, f: Formula, letter_masks: LetterMasks, memo: Memo) -> Sequ
     cls = f.__class__
     if cls is Letter:
         return letter_masks[f.name]
-    text = render(f)
+    text = f.text
     masks = memo.get(text)
     if masks is None:
         if cls is Neg:
@@ -206,8 +206,9 @@ def models(
     m: Matrix, gamma: FormulaSet, names: Iterable[str] | None = None
 ) -> list[Valuation]:
     """The models of `gamma`, restricted to the given letter domain."""
-    domain = gamma.letters() if names is None else set(names)
-    if not gamma.letters() <= domain:
+    own = gamma.letters()
+    domain = own if names is None else set(names)
+    if not own <= domain:
         raise ValueError("letter domain must cover the letters of gamma")
     return [
         _valuation(m, domain, first + i)
@@ -231,7 +232,7 @@ def entails(m: Matrix, gamma: FormulaSet, alpha: Formula) -> EntailmentResult:
     Decided over the letters of `gamma` and `alpha`; enlarging the domain by
     fresh letters does not change the verdict.
     """
-    domain = gamma.letters() | letters(alpha)
+    domain = gamma.letters() | alpha.letters
     for first, letter_masks, memo, full in _blocks(m, domain):
         refuting = _models_mask(m, gamma, letter_masks, memo, full)
         if refuting:
@@ -261,7 +262,7 @@ def classify(m: Matrix, alpha: Formula) -> Classification:
     ever_designated = False
     all_designated = True
     always_zero = zero_ix is not None
-    for _, letter_masks, memo, full in _blocks(m, letters(alpha)):
+    for _, letter_masks, memo, full in _blocks(m, alpha.letters):
         masks = _masks(m, alpha, letter_masks, memo)
         designated = _designated(m, masks)
         ever_designated = ever_designated or designated != 0

@@ -7,6 +7,8 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -191,6 +193,41 @@ class TestCells:
         a = check_property(LogicSpec(L3, 0), PropertyId.MONOTONICITY, SMALL)
         b = check_property(LogicSpec(L3, 0), PropertyId.MONOTONICITY, SMALL)
         assert a.to_json() == b.to_json()
+
+
+# L3 with 1/2 designated too: {p, ~p} has a model, so joint consistency
+# needs a drawn witness, and detachment fails at 1/2 -> 0.
+L3_HALF = replace(L3, name="l3-half", designated=frozenset({Fraction(1), Fraction(1, 2)}))
+# L3 with & read as |, so a conjunction no longer yields its conjuncts
+L3_OR_AS_AND = replace(L3, name="l3-or-as-and", and_=L3.or_)
+
+
+class TestSamplesRun:
+    """`samples_run` counts the random draws a cell made before it stopped."""
+
+    @pytest.mark.parametrize(
+        "m, prop, outcome, method",
+        [
+            (L3_HALF, PropertyId.JOINT_CONSISTENCY, Outcome.HOLDS, Method.WITNESS),
+            (L3_HALF, PropertyId.MODUS_PONENS, Outcome.FAILS, Method.SAMPLED),
+            (L3_OR_AS_AND, PropertyId.CONJUNCTIVE_PROPERTY, Outcome.UNDECIDED, Method.SAMPLED),
+        ],
+        ids=["joint-witness", "sampled-fails", "conjunctive-undecided"],
+    )
+    def test_counts_the_draws_made(self, m, prop, outcome, method):
+        spec = LogicSpec(m, 0)
+        v = check_property(spec, prop, SMALL)
+        assert (v.outcome, v.method) == (outcome, method)
+        assert 0 < v.samples_run < SMALL.samples
+        # the cell's stream does not depend on the budget, so a budget of
+        # exactly that many draws decides the cell the same way, and one
+        # draw fewer does not
+        exact = check_property(spec, prop, replace(SMALL, samples=v.samples_run))
+        assert exact.to_json() == v.to_json()
+        if v.samples_run > 1:
+            fewer = check_property(spec, prop, replace(SMALL, samples=v.samples_run - 1))
+            assert fewer.outcome is not outcome
+            assert fewer.samples_run == v.samples_run - 1
 
 
 @pytest.fixture(scope="module")

@@ -148,11 +148,132 @@ def test_letters_subset(f):
 
 @given(formula_strategy())
 def test_cached_text_is_invisible(f):
-    fresh = parse(render(f))  # an equal tree whose nodes have rendered nothing
-    assert render(f) == render(f)  # the second call reads the kept text
+    fresh = parse(render(f))  # an equal tree built separately, by the parser
+    assert render(f) == render(f) == render(fresh)
     assert f == fresh and fresh == f
     assert hash(f) == hash(fresh)
     assert repr(f) == repr(fresh)
+
+
+# Reference walks: the recursive printer, letters and depth that the
+# constructors' eager fields replace, kept here to check those fields.
+_PREC = {Imp: 1, Or: 2, And: 3}
+
+
+def _ref_render(f):
+    if isinstance(f, Letter):
+        return f.name
+    if isinstance(f, Neg):
+        inner = _ref_render(f.child)
+        return "~" + inner if isinstance(f.child, (Letter, Neg)) else "~(" + inner + ")"
+    prec = _PREC[type(f)]
+    left, right = _ref_render(f.left), _ref_render(f.right)
+    left_prec, right_prec = _PREC.get(type(f.left), 4), _PREC.get(type(f.right), 4)
+    if isinstance(f, Imp):  # right-associative
+        wrap_left, wrap_right = left_prec <= prec, right_prec < prec
+    else:  # left-associative
+        wrap_left, wrap_right = left_prec < prec, right_prec <= prec
+    left = "(" + left + ")" if wrap_left else left
+    right = "(" + right + ")" if wrap_right else right
+    return left + {Imp: " -> ", Or: " | ", And: " & "}[type(f)] + right
+
+
+def _ref_letters(f):
+    if isinstance(f, Letter):
+        return {f.name}
+    if isinstance(f, Neg):
+        return _ref_letters(f.child)
+    return _ref_letters(f.left) | _ref_letters(f.right)
+
+
+def _ref_depth(f):
+    if isinstance(f, Letter):
+        return 0
+    if isinstance(f, Neg):
+        return 1 + _ref_depth(f.child)
+    return 1 + max(_ref_depth(f.left), _ref_depth(f.right))
+
+
+def _same_tree(f, g):
+    if type(f) is not type(g):
+        return False
+    if isinstance(f, Letter):
+        return f.name == g.name
+    if isinstance(f, Neg):
+        return _same_tree(f.child, g.child)
+    return _same_tree(f.left, g.left) and _same_tree(f.right, g.right)
+
+
+def _rebuilt(f):
+    """An equal tree that shares no node with `f`."""
+    if isinstance(f, Letter):
+        return Letter(f.name)
+    if isinstance(f, Neg):
+        return Neg(_rebuilt(f.child))
+    return type(f)(_rebuilt(f.left), _rebuilt(f.right))
+
+
+_NAMES = ("p", "q", "r", "long_name2")
+_built = formula_strategy(_NAMES)
+_any_formula = st.one_of(
+    _built,
+    _built.map(lambda f: parse(_ref_render(f))),
+    st.builds(
+        draw_formula, st.randoms(use_true_random=False), st.just(list(_NAMES)),
+        st.integers(0, 5),
+    ),
+)
+
+
+@given(_any_formula, _any_formula)
+def test_eager_fields_match_the_reference_walks(f, g):
+    for h in (f, g):
+        assert render(h) == str(h) == _ref_render(h)
+        assert letters(h) == _ref_letters(h)
+        assert isinstance(letters(h), frozenset)
+        assert depth(h) == _ref_depth(h)
+        assert parse(render(h)) == h
+        copy = _rebuilt(h)
+        assert copy == h and hash(copy) == hash(h)
+    assert (f == g) == _same_tree(f, g)
+    assert (f != g) == (not _same_tree(f, g))
+    if f == g:
+        assert hash(f) == hash(g)
+
+
+_DEEP = 10_000
+
+
+class TestDeepFormulasBuiltInCode:
+    """Nothing but the constructors runs on a node, so deep formulas built
+    in code need no recursion; the parser would refuse them."""
+
+    def test_negations(self):
+        def chain(name):
+            f = Letter(name)
+            for _ in range(_DEEP):
+                f = Neg(f)
+            return f
+
+        f, g, other = chain("p"), chain("p"), chain("q")
+        assert render(f) == "~" * _DEEP + "p"
+        assert letters(f) == {"p"}
+        assert depth(f) == _DEEP
+        assert f == g and hash(f) == hash(g)
+        assert f != other
+
+    def test_right_nested_implications(self):
+        # each node keeps its text, so this chain alone holds about 250 MB
+        # of text: one chain, compared with a new node over its subtree
+        p = Letter("p")
+        f = p
+        for _ in range(_DEEP):
+            f = Imp(p, f)
+        assert render(f) == "p -> " * _DEEP + "p"
+        assert letters(f) == {"p"}
+        assert depth(f) == _DEEP
+        assert f == Imp(p, f.right) and hash(f) == hash(Imp(p, f.right))
+        assert f != f.right and f != Imp(f.right, p)
 
 
 @given(st.lists(formula_strategy(), max_size=8), st.randoms(use_true_random=False))
