@@ -122,33 +122,15 @@ def render(f: Formula) -> str:
     return f.text
 
 
-_TOKEN_RE = re.compile(r"->|→|[~¬|∨&∧()]|[a-z][a-zA-Z0-9_]*")
+# One match per token: the whitespace before it, and the token.  A character
+# that starts no token matches alone, and `_Parser._error` reports it.
+_TOKEN_RE = re.compile(r"(\s*)(->|→|[~¬|∨&∧()]|[a-z][a-zA-Z0-9_]*|\S)")
 _ALIASES = {"→": "->", "¬": "~", "∨": "|", "∧": "&"}
 
-
-def _tokenize(text: str) -> tuple[list[str | None], list[int]]:
-    """Token kinds, ended by a None sentinel, and their start positions."""
-    kinds: list[str | None] = []
-    positions = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kinds.append(_ALIASES.get(m.group(), m.group()))
-        positions.append(pos)
-        pos = m.end()
-    kinds.append(None)
-    return kinds, positions
-
-
-# Parsing spends five stack frames per level of parentheses, and `evaluate`,
-# the engine's `_masks` and `repr` one or two per connective, so formulas at
-# most this deep stay well inside Python's default recursion limit of 1000.
+# Parsing spends three stack frames per level of parentheses (`imp`, `dis`,
+# `operand`), and `evaluate`, the engine's `_masks` and `repr` one or two per
+# connective, so formulas at most this deep stay well inside Python's default
+# recursion limit of 1000.
 MAX_DEPTH = 100
 
 
@@ -159,18 +141,31 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        # the None sentinel ending `kinds` spares lookahead a bounds check
-        self.kinds, self.positions = _tokenize(text)
+        # With trailing whitespace stripped, every match ends on a token, so
+        # the scan never retries from inside a run of whitespace.
+        self.pairs: list[tuple[str, str]] = _TOKEN_RE.findall(text.rstrip())
+        # the "" sentinel ending `kinds` spares lookahead a bounds check
+        self.kinds = [_ALIASES.get(tok, tok) for _, tok in self.pairs]
+        self.kinds.append("")
         self.index = 0
         self.open_parens = 0
 
-    def _pos(self) -> int:
-        if self.index < len(self.positions):
-            return self.positions[self.index]
-        return len(self.text)
+    def _error(self, message: str) -> ParseError:
+        """`message` at the current token, unless some character starts no
+        token: that one is reported, wherever it is.  Positions are counted
+        only here, on the way out."""
+        for index, kind in enumerate(self.kinds[:-1]):
+            if kind not in ("->", "~", "|", "&", "(", ")") and not "a" <= kind < "{":
+                self.index = index
+                message = f"unexpected character {kind!r}"
+                break
+        if self.index == len(self.pairs):
+            return ParseError(message, len(self.text))
+        before = sum(len(ws) + len(tok) for ws, tok in self.pairs[: self.index])
+        return ParseError(message, before + len(self.pairs[self.index][0]))
 
     def _too_deep(self) -> ParseError:
-        return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", self._pos())
+        return self._error(f"formula nested deeper than {MAX_DEPTH} levels")
 
     def _bounded(self, f: Formula) -> Formula:
         if f.depth > MAX_DEPTH:
@@ -188,48 +183,46 @@ class _Parser:
         return f
 
     def dis(self) -> Formula:
-        f = self.con()
-        while self.kinds[self.index] == "|":
+        """A disjunction of conjunctions; both associate to the left."""
+        kinds = self.kinds
+        f = None
+        while True:
+            g = self.operand()
+            while kinds[self.index] == "&":
+                self.index += 1
+                g = self._bounded(And(g, self.operand()))
+            f = g if f is None else self._bounded(Or(f, g))
+            if kinds[self.index] != "|":
+                return f
             self.index += 1
-            f = self._bounded(Or(f, self.con()))
-        return f
 
-    def con(self) -> Formula:
-        f = self.neg()
-        while self.kinds[self.index] == "&":
-            self.index += 1
-            f = self._bounded(And(f, self.neg()))
-        return f
-
-    def neg(self) -> Formula:
+    def operand(self) -> Formula:
+        """A letter or a parenthesised formula, under its '~' prefix."""
+        kinds = self.kinds
         start = self.index
-        while self.kinds[self.index] == "~":
+        while kinds[self.index] == "~":
             self.index += 1
         count = self.index - start
-        f = self.atom()
-        if f.depth + count > MAX_DEPTH:
-            raise self._too_deep()
-        for _ in range(count):
-            f = Neg(f)
-        return f
-
-    def atom(self) -> Formula:
-        tok = self.kinds[self.index]
+        tok = kinds[self.index]
         if tok == "(":
             if self.open_parens == MAX_DEPTH:
                 raise self._too_deep()
             self.open_parens += 1
             self.index += 1
             f = self.imp()
-            if self.kinds[self.index] != ")":
-                raise ParseError("expected ')'", self._pos())
-            self.index += 1
+            if kinds[self.index] != ")":
+                raise self._error("expected ')'")
             self.open_parens -= 1
-            return f
-        if tok is not None and tok[0].isalpha():
-            self.index += 1
-            return Letter(tok)
-        raise ParseError("expected a letter or '('", self._pos())
+        elif "a" <= tok < "{":  # a letter token starts with a-z
+            f = Letter(tok)
+        else:
+            raise self._error("expected a letter or '('")
+        self.index += 1
+        if f.depth + count > MAX_DEPTH:
+            raise self._too_deep()
+        for _ in range(count):
+            f = Neg(f)
+        return f
 
 
 def parse(text: str) -> Formula:
@@ -240,9 +233,8 @@ def parse(text: str) -> Formula:
     """
     parser = _Parser(text)
     f = parser.imp()
-    if parser.index != len(parser.positions):
-        tok = parser.kinds[parser.index]
-        raise ParseError(f"unexpected token {tok!r}", parser._pos())
+    if parser.index != len(parser.pairs):
+        raise parser._error(f"unexpected token {parser.kinds[parser.index]!r}")
     return f
 
 

@@ -8,6 +8,8 @@ membership set of some valuation that refutes the target.  A subset entails
 a target at depth 1 when one of its subsets is in the target's entailing
 table, so depth 2 up-closes those tables: the zeta transform of Björklund,
 Husfeldt, Kaski and Koivisto (STOC 2007).  Each closure is n shift-and-mask steps.
+The maximal consistent subsets, those with no consistent one-member extension,
+are set bits of a table that `str.find` locates in its binary string.
 
 The tables are built from the engine's blocks of at most 2^12 valuations, one
 block at a time, so memory is O(2^n + block) whatever the number of letters;
@@ -162,8 +164,12 @@ def maximal_consistent_subsets(m: Matrix, gamma: FormulaSet) -> list[FormulaSet]
     extendable = 0
     for i, has in enumerate(_with_member(n)):
         extendable |= (consistent & has) >> (1 << i)
-    flags = bin(consistent & ~extendable)[:1:-1]
-    out = [_members_of(gamma, bits) for bits, flag in enumerate(flags) if flag == "1"]
+    flags = bin(consistent & ~extendable)[:1:-1]  # character s for subset s
+    out = []
+    bits = flags.find("1")
+    while bits >= 0:
+        out.append(_members_of(gamma, bits))
+        bits = flags.find("1", bits + 1)
     return sorted(out, key=lambda s: tuple(str(f) for f in s))
 
 

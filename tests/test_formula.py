@@ -1,9 +1,11 @@
 """Parser, printer, and formula-generator tests."""
 
 import random
+import re
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paramat.formula import (
     MAX_DEPTH,
@@ -21,8 +23,21 @@ from paramat.formula import (
     parse,
     render,
 )
+from paramat.matrix import builtin
+from paramat.semantics import Classification, classify
 
 P, Q = Letter("p"), Letter("q")
+L3 = builtin("l3")
+
+# each shape nested k levels deep
+_NESTS = {
+    "neg": lambda k: "~" * k + "p",
+    "parens": lambda k: "(" * k + "p" + ")" * k,
+    "neg-parens": lambda k: "~(" * k + "p" + ")" * k,
+    "or": lambda k: " | ".join(["p"] * (k + 1)),
+    "and": lambda k: " & ".join(["p"] * (k + 1)),
+    "imp": lambda k: " -> ".join(["p"] * (k + 1)),
+}
 
 
 class TestParse:
@@ -73,18 +88,7 @@ class TestParse:
             parse("p | *")
         assert exc.value.position == 4
 
-    @pytest.mark.parametrize(
-        "nest",
-        [
-            lambda k: "~" * k + "p",
-            lambda k: "(" * k + "p" + ")" * k,
-            lambda k: "~(" * k + "p" + ")" * k,
-            lambda k: " | ".join(["p"] * (k + 1)),
-            lambda k: " & ".join(["p"] * (k + 1)),
-            lambda k: " -> ".join(["p"] * (k + 1)),
-        ],
-        ids=["neg", "parens", "neg-parens", "or", "and", "imp"],
-    )
+    @pytest.mark.parametrize("nest", _NESTS.values(), ids=_NESTS.keys())
     def test_depth_limit(self, nest):
         f = parse(nest(MAX_DEPTH))
         assert parse(render(f)) == f
@@ -92,6 +96,173 @@ class TestParse:
         assert depth(f) <= MAX_DEPTH
         with pytest.raises(ParseError, match="nested deeper than"):
             parse(nest(MAX_DEPTH + 1))
+
+
+# The parser as it was before tokenizing became one `findall`: one match per
+# token, positions counted up front, and five recursive rules.  Kept here as
+# the reference that `parse` must agree with, on results and on errors.
+_REF_TOKEN_RE = re.compile(r"->|→|[~¬|∨&∧()]|[a-z][a-zA-Z0-9_]*")
+_REF_ALIASES = {"→": "->", "¬": "~", "∨": "|", "∧": "&"}
+
+
+def _ref_tokenize(text):
+    kinds, positions = [], []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kinds.append(_REF_ALIASES.get(m.group(), m.group()))
+        positions.append(pos)
+        pos = m.end()
+    kinds.append(None)
+    return kinds, positions
+
+
+class _RefParser:
+    def __init__(self, text):
+        self.text = text
+        self.kinds, self.positions = _ref_tokenize(text)
+        self.index = 0
+        self.open_parens = 0
+
+    def pos(self):
+        if self.index < len(self.positions):
+            return self.positions[self.index]
+        return len(self.text)
+
+    def too_deep(self):
+        return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", self.pos())
+
+    def bounded(self, f):
+        if f.depth > MAX_DEPTH:
+            raise self.too_deep()
+        return f
+
+    def imp(self):
+        operands = [self.dis()]
+        while self.kinds[self.index] == "->":
+            self.index += 1
+            operands.append(self.dis())
+        f = operands.pop()
+        for left in reversed(operands):
+            f = self.bounded(Imp(left, f))
+        return f
+
+    def dis(self):
+        f = self.con()
+        while self.kinds[self.index] == "|":
+            self.index += 1
+            f = self.bounded(Or(f, self.con()))
+        return f
+
+    def con(self):
+        f = self.neg()
+        while self.kinds[self.index] == "&":
+            self.index += 1
+            f = self.bounded(And(f, self.neg()))
+        return f
+
+    def neg(self):
+        start = self.index
+        while self.kinds[self.index] == "~":
+            self.index += 1
+        count = self.index - start
+        f = self.atom()
+        if f.depth + count > MAX_DEPTH:
+            raise self.too_deep()
+        for _ in range(count):
+            f = Neg(f)
+        return f
+
+    def atom(self):
+        tok = self.kinds[self.index]
+        if tok == "(":
+            if self.open_parens == MAX_DEPTH:
+                raise self.too_deep()
+            self.open_parens += 1
+            self.index += 1
+            f = self.imp()
+            if self.kinds[self.index] != ")":
+                raise ParseError("expected ')'", self.pos())
+            self.index += 1
+            self.open_parens -= 1
+            return f
+        if tok is not None and tok[0].isalpha():
+            self.index += 1
+            return Letter(tok)
+        raise ParseError("expected a letter or '('", self.pos())
+
+
+def _ref_parse(text):
+    parser = _RefParser(text)
+    f = parser.imp()
+    if parser.index != len(parser.positions):
+        tok = parser.kinds[parser.index]
+        raise ParseError(f"unexpected token {tok!r}", parser.pos())
+    return f
+
+
+def _outcome(parse_text, text):
+    """The parsed text, or the error's message and position."""
+    try:
+        return parse_text(text).text
+    except ParseError as e:
+        return str(e), e.position
+
+
+# tokens, their Unicode aliases, whitespace (NBSP too), and characters that
+# start no token or only part of one
+_ALPHABET = [
+    "p", "q", "r", "x1", "~", "|", "&", "->", "(", ")", "¬", "∨", "∧", "→",
+    " ", "\t", "\xa0", "-", ">", "A", "1", "_", "é", ",", "$",
+]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=24).map("".join))
+def test_parse_agrees_with_the_reference_parser(text):
+    assert _outcome(parse, text) == _outcome(_ref_parse, text)
+
+
+@pytest.mark.parametrize("tail", ["", " ", " q", ")", " $"])
+@pytest.mark.parametrize("levels", [MAX_DEPTH, MAX_DEPTH + 1])
+@pytest.mark.parametrize("nest", _NESTS.values(), ids=_NESTS.keys())
+def test_deep_shapes_agree_with_the_reference_parser(nest, levels, tail):
+    text = nest(levels) + tail
+    assert _outcome(parse, text) == _outcome(_ref_parse, text)
+
+
+def _depth_in_use():
+    """The recursion depth here, as the recursion limit counts it: the limit
+    less the nested calls still allowed."""
+
+    def down(n):
+        try:
+            return down(n + 1)
+        except RecursionError:
+            return n
+
+    return sys.getrecursionlimit() - down(0)
+
+
+@pytest.mark.parametrize("shape", ["parens", "neg-parens"])
+def test_parentheses_cost_three_frames_a_level(shape):
+    # the budget the MAX_DEPTH comment states, and a few frames for the calls
+    # made at the innermost level
+    text = _NESTS[shape](MAX_DEPTH)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth_in_use() + 3 * MAX_DEPTH + 10)
+    try:
+        f = parse(text)
+        again = parse(render(f))
+        kind = classify(L3, f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert again == f and kind is Classification.CONTINGENT
 
 
 class TestRender:

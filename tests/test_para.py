@@ -108,6 +108,46 @@ class TestMaximalConsistentSubsets:
         assert maximal_consistent_subsets(L3, gamma) == [FormulaSet([Q])]
 
 
+def _mss_flag_by_flag(m, gamma):
+    """`maximal_consistent_subsets` as it read the maximal table before: one
+    step per flag of all 2^n, kept here as its reference."""
+    n = len(gamma)
+    consistent, _ = para._tables(m, gamma)
+    extendable = 0
+    for i, has in enumerate(para._with_member(n)):
+        extendable |= (consistent & has) >> (1 << i)
+    flags = bin(consistent & ~extendable)[:1:-1]
+    out = [para._members_of(gamma, bits) for bits, flag in enumerate(flags) if flag == "1"]
+    return sorted(out, key=lambda s: tuple(str(f) for f in s))
+
+
+def _clashing_premises(rng, n):
+    """`n` distinct premises over p, q, r, s, a third of them in pairs f, ~f."""
+    out = set()
+    while len(out) < n:
+        f = draw_formula(rng, ["p", "q", "r", "s"], 2)
+        group = {f, Neg(f)} if len(out) < 2 * (n // 6) else {f}
+        if not out & group and len(out) + len(group) <= n:
+            out |= group
+    return FormulaSet(out)
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+@pytest.mark.parametrize("m", [L3, G3, K3], ids=lambda m: m.name)
+def test_mss_agree_with_the_flag_by_flag_reading(m, n):
+    rng = random.Random(f"{m.name}/{n}")
+    for _ in range(3):
+        gamma = _clashing_premises(rng, n)
+        assert maximal_consistent_subsets(m, gamma) == _mss_flag_by_flag(m, gamma)
+
+
+@pytest.mark.parametrize("text", ["", "~(p -> p)"])
+def test_empty_set_as_the_only_mss(text):
+    gamma = FormulaSet.from_text(text)
+    assert maximal_consistent_subsets(L3, gamma) == [FormulaSet()]
+    assert _mss_flag_by_flag(L3, gamma) == [FormulaSet()]
+
+
 class TestParaEntails:
     def test_no_explosion(self):
         gamma = FormulaSet([P, Neg(P)])
