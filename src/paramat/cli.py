@@ -314,8 +314,8 @@ def _with_budget(func):
 def _echo_stats(report) -> None:
     """How the grid's time went, and its five slowest cells, on stderr."""
     click.echo(
-        f"stats: {len(report.seconds)} cells on {report.workers} worker(s) in "
-        f"{report.wall_s:.2f} s wall, {sum(report.seconds.values()):.2f} s summed over cells",
+        f"stats: {len(report.seconds)} cells in {report.wall_s:.2f} s wall, "
+        f"{sum(report.seconds.values()):.2f} s summed over cells",
         err=True,
     )
     slowest = sorted(report.seconds.items(), key=lambda item: item[1], reverse=True)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from paramat.audit import (
     AuditBudget,
+    Method,
     Outcome,
     PropertyId,
     check_property,
@@ -363,24 +364,109 @@ def test_criterion_8_classical_sanity():
 
 
 # --------------------------------------------------------------------------
-# 9. Normality sampling at 500 samples per logic
+# 9. The lemmas that decide 33 grid cells exactly, cross-checked by sampling
+#
+# The audit decides these rows by arguments that hold in every matrix (or,
+# for modus ponens and the conjunctive property, on a two-letter check of
+# the tables).  A wrong argument would show up as a violation here, on three
+# matrices beyond the grid's own.
+
+LEMMA_MATRICES = (L3, G3, K3, CL2, lukasiewicz(4), goedel(5))
+# the rows decided by a lemma, per transform depth of the column
+LEMMA_ROWS = {
+    0: (
+        PropertyId.INCLUSION,
+        PropertyId.MONOTONICITY,
+        PropertyId.IDEMPOTENCY,
+        PropertyId.TRANSITIVITY,
+        PropertyId.WEAK_TRANSITIVITY,
+        PropertyId.MODUS_PONENS,
+        PropertyId.CONJUNCTIVE_PROPERTY,
+        PropertyId.P_IDEMPOTENT,
+    ),
+    1: (PropertyId.MONOTONICITY, PropertyId.WEAK_TRANSITIVITY, PropertyId.P_IDEMPOTENT),
+}
+
+
+def _lemma_instances(rng, m, para_depth: int) -> dict:
+    """One drawn instance of each lemma of the column: its name -> None when
+    the antecedent does not hold, else whether the conclusion does."""
+    if para_depth == 0:
+        rel = lambda g, a: entails(m, g, a).holds
+    else:
+        rel = lambda g, a: para_entails(m, g, a).holds
+    draw = lambda depth=2: draw_formula(rng, ["p", "q"], depth)
+    near = lambda f: rng.choice([f, Or(f, draw(1)), draw()])  # often a consequence of f
+    gamma = FormulaSet(draw() for _ in range(rng.randint(1, 3)))
+    member = rng.choice(list(gamma))
+    out = {}
+
+    target = near(member)
+    if rel(gamma, target):
+        out["monotonicity"] = rel(gamma.union([draw(), draw()]), target)
+    else:
+        out["monotonicity"] = None
+
+    a = draw()
+    b = near(a)
+    c = near(b)
+    chained = rel(FormulaSet([a]), b) and rel(FormulaSet([b]), c)
+    out["weak transitivity"] = rel(FormulaSet([a]), c) if chained else None
+
+    if para_depth:
+        return out
+
+    out["inclusion"] = rel(gamma, member)
+
+    delta = [f for f in (near(member), near(rng.choice(list(gamma)))) if rel(gamma, f)]
+    target = near(rng.choice(delta)) if delta else None
+    cut = bool(delta) and rel(FormulaSet(delta), target)
+    out["cut"] = rel(gamma, target) if cut else None
+
+    a, b = draw(1), draw(1)
+    premises = gamma.union([a, Imp(a, b)]) if rng.random() < 0.7 else gamma
+    detaches = rel(premises, a) and rel(premises, Imp(a, b))
+    out["modus ponens"] = rel(premises, b) if detaches else None
+
+    a, b = draw(), draw()
+    conj = FormulaSet([And(a, b)])
+    out["conjunction"] = rel(FormulaSet([a, b]), And(a, b)) and rel(conj, a) and rel(conj, b)
+
+    # the transforms of every column: depth 2 answers as depth 1
+    alpha = draw()
+    one = logic_entails(LogicSpec(m, 1), gamma, alpha)
+    out["P(P(L)) = P(L)"] = one == logic_entails(LogicSpec(m, 2), gamma, alpha)
+    return out
 
 
 def test_criterion_9_normality_sampling():
     budget = AuditBudget(samples=500)
-    base = [LogicSpec(m, 0) for m in (L3, G3, K3)]
-    para = [LogicSpec(m, 1) for m in (L3, G3, K3)]
-    for spec in base:
-        for prop in (
-            PropertyId.INCLUSION,
-            PropertyId.MONOTONICITY,
-            PropertyId.IDEMPOTENCY,
-        ):
-            verdict = check_property(spec, prop, budget)
-            assert verdict.outcome is Outcome.HOLDS, (spec.name, prop.value)
-            assert verdict.samples_run == 500
-    for spec in para:
-        verdict = check_property(spec, PropertyId.MONOTONICITY, budget)
-        assert verdict.outcome is Outcome.HOLDS, spec.name
-        assert verdict.samples_run == 500
-    _report(9, True, "Tarskian probes hold on 500 samples per logic")
+    antecedents: dict[str, int] = {}
+    violations = []
+    for m in LEMMA_MATRICES:
+        for para_depth, rows in LEMMA_ROWS.items():
+            spec = LogicSpec(m, para_depth)
+            for prop in rows:
+                verdict = check_property(spec, prop, budget)
+                assert (verdict.outcome, verdict.method) == (Outcome.HOLDS, Method.EXACT), (
+                    spec.name, prop.value,
+                )
+                assert verdict.samples_run == 0
+                assert replay_claims(m, verdict.witness["claims"])
+            rng = random.Random(f"lemma|{spec.name}")
+            for _ in range(200):
+                for lemma, held in _lemma_instances(rng, m, para_depth).items():
+                    if held is None:
+                        continue
+                    key = f"{lemma}/{para_depth}"
+                    antecedents[key] = antecedents.get(key, 0) + 1
+                    if not held:
+                        violations.append((spec.name, lemma))
+    assert violations == []
+    assert len(antecedents) == 9 and min(antecedents.values()) > 0, antecedents
+    _report(
+        9,
+        True,
+        f"zero violations of 9 lemmas on 200 draws per column of {len(LEMMA_MATRICES)} "
+        f"matrices (fewest antecedents: {min(antecedents.values())})",
+    )

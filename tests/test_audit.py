@@ -1,12 +1,7 @@
 """Auditor tests: claim replay, per-cell verdicts, and the full results grid."""
 
 import json
-import os
 import re
-import signal
-import subprocess
-import sys
-import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +15,7 @@ from paramat.audit import (
     PUBLISHED_TABLE,
     TABLE_ROWS,
     AuditBudget,
+    Decision,
     Method,
     Outcome,
     PropertyId,
@@ -190,9 +186,29 @@ class TestCells:
                     assert replay_claims(spec.matrix, v.witness["claims"])
 
     def test_determinism(self):
-        a = check_property(LogicSpec(L3, 0), PropertyId.MONOTONICITY, SMALL)
-        b = check_property(LogicSpec(L3, 0), PropertyId.MONOTONICITY, SMALL)
+        a = check_property(LogicSpec(L3, 0), PropertyId.MODIFIED_WEAK_DT_FWD, SMALL)
+        b = check_property(LogicSpec(L3, 0), PropertyId.MODIFIED_WEAK_DT_FWD, SMALL)
+        assert a.method is Method.SAMPLED
         assert a.to_json() == b.to_json()
+
+    def test_modus_ponens_fails_exactly_without_detachment(self):
+        v = check_property(LogicSpec(L3_HALF, 0), PropertyId.MODUS_PONENS, SMALL)
+        assert (v.outcome, v.method, v.samples_run) == (Outcome.FAILS, Method.EXACT, 0)
+        assert [c["expected"] for c in v.witness["claims"]] == [True, True, False]
+        assert replay_claims(L3_HALF, v.witness["claims"])
+
+    def test_conjunctive_undecided_without_draws(self):
+        v = check_property(LogicSpec(L3_OR_AS_AND, 0), PropertyId.CONJUNCTIVE_PROPERTY, SMALL)
+        assert (v.outcome, v.samples_run, v.witness) == (Outcome.UNDECIDED, 0, None)
+
+    def test_joint_consistency_undecided_when_no_witness_is_drawn(self):
+        # negation as identity: {x, ~x} is {x}, never inconsistent alone
+        cl2 = builtin("cl2")
+        flat = replace(cl2, name="cl2-flat", neg={v: v for v in cl2.values})
+        budget = replace(SMALL, samples=50)
+        v = check_property(LogicSpec(flat, 0), PropertyId.JOINT_CONSISTENCY, budget)
+        assert (v.outcome, v.method, v.samples_run) == (Outcome.UNDECIDED, Method.BOUNDED, 50)
+        assert v.witness is None
 
 
 # L3 with 1/2 designated too: {p, ~p} has a model, so joint consistency
@@ -202,6 +218,11 @@ L3_HALF = replace(L3, name="l3-half", designated=frozenset({Fraction(1), Fractio
 L3_OR_AS_AND = replace(L3, name="l3-or-as-and", and_=L3.or_)
 
 
+def _deciding(prop, decision):
+    """`audit._CHECKERS` with `prop` decided as `decision`."""
+    return {**audit._CHECKERS, prop: lambda cell: decision}
+
+
 class TestSamplesRun:
     """`samples_run` counts the random draws a cell made before it stopped."""
 
@@ -209,10 +230,9 @@ class TestSamplesRun:
         "m, prop, outcome, method",
         [
             (L3_HALF, PropertyId.JOINT_CONSISTENCY, Outcome.HOLDS, Method.WITNESS),
-            (L3_HALF, PropertyId.MODUS_PONENS, Outcome.FAILS, Method.SAMPLED),
-            (L3_OR_AS_AND, PropertyId.CONJUNCTIVE_PROPERTY, Outcome.UNDECIDED, Method.SAMPLED),
+            (L3_HALF, PropertyId.FULL_DT, Outcome.FAILS, Method.SAMPLED),
         ],
-        ids=["joint-witness", "sampled-fails", "conjunctive-undecided"],
+        ids=["joint-witness", "sampled-fails"],
     )
     def test_counts_the_draws_made(self, m, prop, outcome, method):
         spec = LogicSpec(m, 0)
@@ -289,55 +309,28 @@ class TestRunTable:
             with pytest.raises(AssertionError, match="lacks a replayable witness"):
                 check_property(specs[col], prop, SMALL)
 
-    def test_text_grid(self, report):
-        text = report.format_text()
-        lines = text.splitlines()
-        assert any("explosive" in line for line in lines)
-        assert "✓" in text and "×" in text
-        assert "Discrepancies:" in text
+    def test_gate_replays_every_holds_witness(self, report, monkeypatch):
+        # the claims a HOLDS rests on, a lemma's premises included, replay too
+        holding = [
+            cell
+            for cell, v in report.verdicts.items()
+            if v.outcome is Outcome.HOLDS and v.witness is not None
+        ]
+        assert (PropertyId.MODUS_PONENS, "L3") in holding
+        specs = dict(zip(COLUMN_NAMES, table_columns()))
+        monkeypatch.setattr(audit, "replay_witness", lambda m, witness: False)
+        for prop, col in holding:
+            with pytest.raises(AssertionError, match="lacks a replayable witness"):
+                check_property(specs[col], prop, SMALL)
 
-
-def _no_child_left() -> bool:
-    """True when this process has no child, running or zombie."""
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def _raising(exc):
-    """A `check_property` that raises `exc` on every cell, so that each
-    worker stops at its first cell, and the workers not read first must
-    still be reaped."""
-
-    def checking(spec, prop, budget):
-        raise exc
-
-    return checking
-
-
-class TestWorkers:
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_grid_and_cleanup_on_any_worker_count(self, monkeypatch, cpus):
-        monkeypatch.setattr(audit, "_cpu_count", lambda: cpus)
-        report = run_table(SMALL)
-        assert report.workers == cpus
-        text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-        assert text == GOLDEN_SMALL.read_text(encoding="utf-8")
-        assert _no_child_left()
-
-    def test_no_fork_while_other_threads_run(self, monkeypatch):
-        monkeypatch.setattr(audit, "_cpu_count", lambda: 2)
-        stop = threading.Event()
-        waiting = threading.Thread(target=stop.wait)
-        waiting.start()
-        try:
-            assert run_table(SMALL).workers == 1
-        finally:
-            stop.set()
-            waiting.join(timeout=10)
-        assert not waiting.is_alive()
+    @pytest.mark.parametrize(
+        "witness", [None, {"description": "no claims", "claims": []}], ids=["none", "empty"]
+    )
+    def test_gate_refuses_a_fails_without_claims(self, monkeypatch, witness):
+        decision = Decision(Outcome.FAILS, Method.BOUNDED, witness)
+        monkeypatch.setattr(audit, "_CHECKERS", _deciding(PropertyId.INCLUSION, decision))
+        with pytest.raises(AssertionError, match="^FAILS verdict for inclusion/L3 lacks"):
+            check_property(LogicSpec(L3, 0), PropertyId.INCLUSION, SMALL)
 
     def test_every_cell_timed(self, report):
         assert set(report.seconds) == set(report.verdicts)
@@ -346,56 +339,42 @@ class TestWorkers:
         # the per-cell times say how the run went, not what it found
         assert "seconds" not in json.dumps(report.to_json())
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_raising_cells_raise_their_exception(self, monkeypatch, cpus):
-        monkeypatch.setattr(audit, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(audit, "check_property", _raising(ZeroDivisionError("cell broke")))
+    def test_every_sampled_holds_notes_its_antecedents(self, report):
+        sampled = [v for v in report.verdicts.values() if v.method is Method.SAMPLED]
+        assert len(sampled) == 9
+        for v in sampled:
+            assert v.outcome is Outcome.HOLDS
+            hits = int(re.fullmatch(r"(\d+) samples had the antecedent", v.notes)[1])
+            assert 0 < hits <= v.samples_run == SMALL.samples
+
+    def test_the_cells_query_through_this_process(self, monkeypatch):
+        # a wrapper put on a module binding, as a tracer does, sees the
+        # grid's queries, because the cells are decided here
+        calls = []
+        entails = audit.entails
+
+        def counting(*args):
+            calls.append(args)
+            return entails(*args)
+
+        monkeypatch.setattr(audit, "entails", counting)
+        run_table(SMALL)
+        assert calls
+
+    def test_a_raising_cell_raises_its_exception(self, monkeypatch):
+        def raising(spec, prop, budget):
+            raise ZeroDivisionError("cell broke")
+
+        monkeypatch.setattr(audit, "check_property", raising)
         with pytest.raises(ZeroDivisionError, match="cell broke"):
             run_table(SMALL)
-        assert _no_child_left()
 
-    def test_an_exception_that_cannot_be_pickled_keeps_its_name(self, monkeypatch):
-        class Odd(Exception):  # local, so pickle cannot name it
-            pass
-
-        monkeypatch.setattr(audit, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(audit, "check_property", _raising(Odd("cell broke")))
-        with pytest.raises(RuntimeError, match="^Odd: cell broke$"):
-            run_table(SMALL)
-        assert _no_child_left()
-
-    def test_a_killed_worker_makes_the_grid_raise(self):
-        # in a subprocess, so that a grid that hangs fails on the timeout
-        script = """
-import os, signal
-from paramat import audit
-check_property = audit.check_property
-def killing(spec, prop, budget):
-    if (prop, spec.name) == (audit.PropertyId.MONOTONICITY, "G3"):
-        os.kill(os.getpid(), signal.SIGKILL)
-    return check_property(spec, prop, budget)
-audit.check_property = killing
-audit._cpu_count = lambda: 2
-try:
-    audit.run_table(audit.AuditBudget(samples=20))
-except RuntimeError as exc:
-    print(exc)
-try:
-    os.waitpid(-1, os.WNOHANG)
-except ChildProcessError:
-    print("no child left")
-"""
-        src = Path(audit.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert re.fullmatch(rf"audit worker \d+ was killed by signal {signal.SIGKILL:d}\nno child left\n", proc.stdout)
-        assert proc.stderr == ""
+    def test_text_grid(self, report):
+        text = report.format_text()
+        lines = text.splitlines()
+        assert any("explosive" in line for line in lines)
+        assert "✓" in text and "×" in text
+        assert "Discrepancies:" in text
 
 
 class TestWitnessSuites:

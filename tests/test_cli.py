@@ -92,9 +92,7 @@ class TestInternalError:
         assert result.exit_code == 4
         assert result.output == "error: internal error: RuntimeError: table broken\n"
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_raising_cell_exits_4(self, runner, monkeypatch, cpus):
-        # with two workers the exception is raised in one and re-raised here
+    def test_a_raising_cell_exits_4(self, runner, monkeypatch):
         decide = audit.check_property
 
         def broken(spec, prop, budget):
@@ -102,7 +100,6 @@ class TestInternalError:
                 raise ZeroDivisionError("cell broke")
             return decide(spec, prop, budget)
 
-        monkeypatch.setattr(audit, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(audit, "check_property", broken)
         result = runner.invoke(main, ["audit", "--samples", "5"])
         assert result.exit_code == 4
@@ -134,10 +131,8 @@ class TestInterrupt:
 
     @pytest.mark.parametrize("to_group", [True, False], ids=["process-group", "parent-only"])
     def test_sigint_mid_grid_exits_130(self, to_group):
-        # Ctrl-C reaches the whole process group, workers included; `kill -INT`
-        # only the parent.  Either way: one line, and no worker left behind.
-        if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("the grid forks no workers on one CPU")
+        # Ctrl-C reaches the whole process group; `kill -INT` only the audit.
+        # Either way: one line, and nothing left behind.
         proc = subprocess.Popen(
             [sys.executable, "-m", "paramat", "audit", "--samples", "20000"],
             stdout=subprocess.PIPE,
@@ -147,17 +142,10 @@ class TestInterrupt:
             start_new_session=True,
         )
         try:
-            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if not children.exists():
-                    pytest.skip("this kernel does not list a process's children")
-                if len(children.read_text().split()) > 1:
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("the audit forked no workers")
-            time.sleep(0.3)  # the workers are deciding cells by now
+            # the deduction-theorem cells still sample, so at 20000 samples
+            # the grid runs for tens of seconds; by now it is deciding cells
+            time.sleep(2.0)
+            assert proc.poll() is None, "the audit ended before the interrupt"
             if to_group:
                 os.killpg(proc.pid, signal.SIGINT)
             else:
@@ -353,7 +341,7 @@ class TestAudit:
         assert result.exit_code == 0
         assert result.stdout == GOLDEN_AUDIT.read_text(encoding="utf-8")
         head, *slowest = result.stderr.splitlines()
-        assert re.fullmatch(r"stats: 96 cells on \d+ worker\(s\) in [\d.]+ s wall, [\d.]+ s summed over cells", head)
+        assert re.fullmatch(r"stats: 96 cells in [\d.]+ s wall, [\d.]+ s summed over cells", head)
         assert len(slowest) == 5
         times = [float(re.fullmatch(r"  \w+/[\w()]+: ([\d.]+) s", line)[1]) for line in slowest]
         assert times == sorted(times, reverse=True)

@@ -353,12 +353,7 @@ def test_domain_cache_follows_the_block_size():
 
 
 def _audit_matrices(monkeypatch) -> list:
-    """The matrices of the grid's columns, recorded as `run_table` builds them.
-
-    The grid then runs on one worker, in this process, so that these are the
-    matrices that decide its cells; forked workers would fill copies of them.
-    """
-    monkeypatch.setattr(audit, "_cpu_count", lambda: 1)
+    """The matrices of the grid's columns, recorded as `run_table` builds them."""
     built = []
     table_columns = audit.table_columns
 
@@ -377,7 +372,7 @@ def _memo_sizes(m):
 
 def test_memo_bounded_after_the_audit(monkeypatch):
     matrices = _audit_matrices(monkeypatch)
-    assert audit.run_table(SMALL).workers == 1
+    audit.run_table(SMALL)
     assert matrices
     for m in matrices:
         domains, largest = _memo_sizes(m)
@@ -391,7 +386,6 @@ def test_audit_unchanged_when_the_caches_keep_little(monkeypatch):
     monkeypatch.setattr(semantics, "_DOMAINS", 2)
     monkeypatch.setattr(semantics, "_MEMO_SIZE", 3)
     report = audit.run_table(SMALL)
-    assert report.workers == 1
     for m in matrices:
         domains, largest = _memo_sizes(m)
         assert domains <= 2 and largest <= 3
