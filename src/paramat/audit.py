@@ -9,14 +9,17 @@ returns a ``Decision``, and ``check_property`` makes the ``Verdict`` after
 replaying every claim of its witness; a FAILS must carry at least one.
 Rows that follow from the definition of matrix consequence (Łoś and
 Suszko 1958; Wójcicki 1988), in every matrix or given a two-letter check of
-its tables, are decided exactly by ``_lemma``, with that check as claims.
-The other rows try stored-witness probes (``_probe``) first, then the
-sampling loop (``_sampled``) or a bounded search.  Every cell is compared
-against the expected published value and mismatches are listed with their
-evidence instead of being silently corrected.
+its tables, are decided exactly by ``_lemma``, with that check as claims;
+the transforms' loss of the conjunctive property is refuted exactly the same
+way (``_refute_conjunctive``).  The other rows try stored-witness probes
+(``_probe``) first, then the sampling loop (``_sampled``).  Every cell is
+compared against the expected published value and mismatches are listed with
+their evidence instead of being silently corrected.
 
 ``run_table`` decides the 96 cells one after another in the calling
-process; each sampled cell draws from its own seeded stream.
+process; each sampled cell draws from its own seeded stream.  The stored
+witness suites (``verify_witness_suite``) replay the claims of the grid's own
+witnesses for L3, G3 and K3 and their transforms.
 """
 
 from __future__ import annotations
@@ -25,40 +28,15 @@ import random
 import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 from .formula import (
-    And,
-    Formula,
-    FormulaSet,
-    Imp,
-    Letter,
-    Neg,
-    Or,
-    draw_formula,
-    parse,
-    render,
+    And, Formula, FormulaSet, Imp, Letter, Neg, Or, draw_formula, parse, render,
 )
-from .matrix import Matrix, builtin, format_value, has_star_property, parse_value
-from .para import (
-    LogicSpec,
-    consistent_subsets,
-    is_para_consistent,
-    logic_entails,
-    para_entails,
-)
-from .semantics import (
-    _binary_masks,
-    _blocks,
-    _designated,
-    _masks,
-    _neg_masks,
-    classify,
-    entails,
-    evaluate,
-    is_consistent,
-    tautology_free_check,
-)
+from .matrix import Matrix, builtin, has_star_property
+from .para import LogicSpec, is_para_consistent, para_entails
+from .semantics import entails, is_consistent
 
 
 class PropertyId(Enum):
@@ -263,23 +241,12 @@ def replay_claim(m: Matrix, claim: dict) -> bool:
         got = entails(m, gamma, parse(claim["alpha"])).holds
     elif kind == "para_entails":
         got = para_entails(m, gamma, parse(claim["alpha"])).holds
-    elif kind == "logic_entails":
-        got = logic_entails(LogicSpec(m, claim["depth"]), gamma, parse(claim["alpha"]))
     elif kind == "consistent":
         got = is_consistent(m, gamma)
     elif kind == "para_consistent":
         got = is_para_consistent(m, gamma)
-    elif kind == "classify":
-        got = classify(m, parse(claim["alpha"])).value
-    elif kind == "consistent_subsets":
-        got = [_gamma_strs(s) for s in consistent_subsets(m, gamma)]
     elif kind == "star_property":
         got = has_star_property(m)
-    elif kind == "eval":
-        valuation = {k: parse_value(v) for k, v in claim["valuation"].items()}
-        got = format_value(evaluate(m, valuation, parse(claim["formula"])))
-    elif kind == "tautology_free":
-        got = tautology_free_check(m, claim["letters"], claim["depth"])
     else:
         raise ValueError(f"unknown claim kind: {kind!r}")
     return got == claim["expected"]
@@ -500,7 +467,7 @@ def _check_inconsistent_sets(cell: _Cell) -> Decision:
 
 def _check_conjunctive(cell: _Cell) -> Decision:
     if cell.spec.para_depth >= 1:
-        return _bounded_conjunctive_refutation(cell)
+        return _refute_conjunctive(cell)
     conjunction = FormulaSet([And(P, Q)])
     claims = [
         cell.claim(FormulaSet([P, Q]), And(P, Q), True),
@@ -521,87 +488,39 @@ def _check_conjunctive(cell: _Cell) -> Decision:
     )
 
 
-def _bounded_conjunctive_refutation(cell: _Cell) -> Decision:
-    """Refute the conjunctive property for a transformed logic, within bounds.
+def _refute_conjunctive(cell: _Cell) -> Decision:
+    """The transform loses the conjunctive property: {p, ~p} yields p|q and
+    ~p|q but not q, and no single formula z does the same.
 
-    For x = p, y = ~p the transformed consequences include p|q and ~p|q but
-    not q.  A single formula z with the same consequences would have to yield
-    all three or none; the search walks every achievable truth-value vector
-    over {p, q} up to the depth bound and checks the three probes.
+    {z} has the subsets {} and {z}.  A consistent {z} therefore yields what z
+    yields in the base logic, and z yields q once it yields p|q and ~p|q.  An
+    inconsistent {z} yields only the tautologies, and p|q is not one.  This
+    covers every z, of any depth and over any letters.
     """
-    m = cell.spec.matrix
     pair = FormulaSet([P, Neg(P)])
-    probe_a, probe_b, probe_q = parse("p | q"), parse("~p | q"), Q
-    premises = _probe(
-        cell,
-        "for x = p, y = ~p no single formula over {p, q} up to "
-        "the depth bound yields p|q and ~p|q without yielding q",
-        [
-            cell.claim(pair, probe_a, True),
-            cell.claim(pair, probe_b, True),
-            cell.claim(pair, probe_q, False),
-        ],
+    p_or_q, not_p_or_q = parse("p | q"), parse("~p | q")
+    claims = [
+        cell.claim(pair, p_or_q, True),
+        cell.claim(pair, not_p_or_q, True),
+        cell.claim(pair, Q, False),
+        claim_entails(0, FormulaSet([p_or_q, not_p_or_q]), Q, True),
+        claim_entails(0, FormulaSet(), p_or_q, False),
+    ]
+    if replay_claims(cell.spec.matrix, claims):
+        witness = {
+            "description": "for x = p, y = ~p: {x, y} yields p|q and ~p|q but not "
+            "q; a consistent {z} yields what z yields, which includes q once it "
+            "includes p|q and ~p|q, and an inconsistent {z} yields only the "
+            "tautologies, which p|q is not",
+            "claims": claims,
+        }
+        return Decision(Outcome.FAILS, Method.EXACT, witness)
+    return Decision(
+        Outcome.UNDECIDED,
+        Method.BOUNDED,
+        notes="the two-letter premises of the refutation do not hold for this "
+        "matrix; no exact argument available, and no formula is searched",
     )
-    if premises is None:
-        return Decision(
-            Outcome.UNDECIDED,
-            Method.BOUNDED,
-            notes="probe premises do not hold for this matrix",
-        )
-    # at most MAX_VALUES ** 2 valuations, so one block; unpacking checks it
-    ((_, letter_masks, memo, full),) = _blocks(m, {"p", "q"})
-    mask_a, mask_b, mask_q = (
-        _designated(m, _masks(m, probe, letter_masks, memo))
-        for probe in (probe_a, probe_b, probe_q)
-    )
-
-    def candidate_passes(mask: int) -> bool:
-        if mask == 0:
-            # inconsistent singleton: its transformed consequences are the
-            # tautologies, so the probes must all be tautologies (q is not)
-            return mask_a == full and mask_b == full and mask_q != full
-        return mask & ~mask_a == 0 and mask & ~mask_b == 0 and mask & ~mask_q != 0
-
-    reached: dict[tuple, Formula] = {}
-    level: dict[tuple, Formula] = {letter_masks["p"]: P, letter_masks["q"]: Q}
-    checked = 0
-    for step in range(cell.budget.depth + 1):
-        if step:
-            level = _next_level(m, reached, level)
-        for vec, rep in level.items():
-            checked += 1
-            if candidate_passes(_designated(m, vec)):
-                return Decision(
-                    Outcome.UNDECIDED,
-                    Method.BOUNDED,
-                    notes=f"candidate {render(rep)} passes the probes",
-                )
-        reached.update(level)
-    witness = {**premises.witness, "candidates_checked": checked}
-    return Decision(Outcome.FAILS, Method.BOUNDED, witness)
-
-
-def _next_level(
-    m: Matrix, reached: dict[tuple, Formula], frontier: dict[tuple, Formula]
-) -> dict[tuple, Formula]:
-    """Value-mask vectors first reached one connective above `frontier`,
-    with formulas."""
-    new: dict[tuple, Formula] = {}
-    cum = list(reached.items())
-    # negations of the frontier, then binaries touching the frontier
-    for vec in frontier:
-        nv = tuple(_neg_masks(m.neg_ix, vec))
-        if nv not in reached and nv not in new:
-            new[nv] = Neg(reached[vec])
-    for table, ctor in ((m.or_ix, Or), (m.and_ix, And), (m.imp_ix, Imp)):
-        for va, ra in cum:
-            for vb, rb in cum:
-                if va not in frontier and vb not in frontier:
-                    continue
-                out = tuple(_binary_masks(table, va, vb))
-                if out not in reached and out not in new:
-                    new[out] = ctor(ra, rb)
-    return new
 
 
 def _check_p_idempotent(cell: _Cell) -> Decision:
@@ -989,105 +908,26 @@ class WitnessResult:
     claims: list[dict]
 
 
-def _suite_l3() -> list[tuple[str, list[dict]]]:
-    gamma = FormulaSet([P, Neg(P)])
-    delta = FormulaSet([parse("p | q"), Neg(P)])
-    not_self = NOT_SELF_IMP
-    conv = Imp(not_self, Imp(not_self, not_self))
-    return [
-        ("explosion: {p, ~p} has no models and yields q",
-         [claim_consistent(0, gamma, False), claim_entails(0, gamma, Q, True)]),
-        ("~(p -> p) has no models and is a contradiction",
-         [claim_consistent(0, FormulaSet([not_self]), False),
-          {"kind": "classify", "alpha": render(not_self), "expected": "contradiction"}]),
-        ("{p, ~p} does not para-yield q",
-         [claim_entails(1, gamma, Q, False)]),
-        ("{p, ~p} para-yields p | q and ~p",
-         [claim_entails(1, gamma, parse("p | q"), True),
-          claim_entails(1, gamma, Neg(P), True)]),
-        ("{p | q, ~p} yields q",
-         [claim_entails(0, delta, Q, True), claim_consistent(0, delta, True)]),
-        ("inclusion failure: {~(p -> p)} does not para-yield itself",
-         [claim_entails(1, FormulaSet([not_self]), not_self, False)]),
-        ("consistent subsets of {p, ~p} are exactly {}, {p}, {~p}",
-         [{"kind": "consistent_subsets", "gamma": _gamma_strs(gamma),
-           "expected": [[], ["p"], ["~p"]]}]),
-        ("joint consistency: {p}, {~p} consistent, {p, ~p} not",
-         [claim_consistent(0, FormulaSet([P]), True),
-          claim_consistent(0, FormulaSet([Neg(P)]), True),
-          claim_consistent(0, gamma, False)]),
-        ("modified deduction: forward and converse instances",
-         [claim_entails(0, FormulaSet([Q, P]), And(P, Q), True),
-          claim_entails(0, FormulaSet([Q]), Imp(P, Imp(P, And(P, Q))), True),
-          claim_entails(0, FormulaSet(), Imp(P, Imp(P, P)), True),
-          claim_entails(0, FormulaSet([P]), P, True)]),
-        ("modified-deduction converse counterexample with alpha = beta = ~(p -> p)",
-         [claim_entails(1, FormulaSet(), conv, True),
-          claim_entails(0, FormulaSet(), conv, True),
-          claim_entails(1, FormulaSet([not_self]), not_self, False)]),
-        ("transitivity failure: q escapes {p, ~p} though each stage holds",
-         [claim_entails(1, gamma, parse("p | q"), True),
-          claim_entails(1, delta, Q, True),
-          claim_entails(1, gamma, Q, False)]),
-    ]
+def _grid_witnesses(name: str) -> list[tuple[str, list[dict]]]:
+    """The (description, claims) pair of every witness with claims in the
+    grid columns of the matrix `name` and its transform, at the default budget."""
+    pairs = []
+    for spec in table_columns():
+        if spec.matrix.name != name:
+            continue
+        for prop in TABLE_ROWS:
+            witness = check_property(spec, prop, AuditBudget()).witness
+            if witness and witness["claims"]:
+                description = f"{prop.value}/{spec.name}: {witness['description']}"
+                pairs.append((description, witness["claims"]))
+    return pairs
 
 
-def _suite_g3() -> list[tuple[str, list[dict]]]:
-    contradiction = P_AND_NOT_P
-    taut = Imp(contradiction, contradiction)
-    return [
-        ("p & ~p is a contradiction",
-         [{"kind": "classify", "alpha": render(contradiction), "expected": "contradiction"}]),
-        ("negation of the middle value is 0",
-         [{"kind": "eval", "valuation": {"p": "1/2"}, "formula": "~p", "expected": "0"}]),
-        ("(p & ~p) -> (p & ~p) is a tautology",
-         [claim_entails(0, FormulaSet(), taut, True)]),
-        ("inclusion failure: {p & ~p} does not para-yield itself",
-         [claim_entails(1, FormulaSet([contradiction]), contradiction, False)]),
-        ("full deduction instances",
-         [claim_entails(0, FormulaSet([Q, P]), And(P, Q), True),
-          claim_entails(0, FormulaSet([Q]), Imp(P, And(P, Q)), True),
-          claim_entails(0, FormulaSet(), Imp(P, P), True),
-          claim_entails(0, FormulaSet([P]), P, True)]),
-        ("weak-deduction converse failure for the transformed logic",
-         [claim_entails(1, FormulaSet(), taut, True),
-          claim_entails(1, FormulaSet([contradiction]), contradiction, False)]),
-    ]
-
-
-def _suite_k3() -> list[tuple[str, list[dict]]]:
-    contradiction = P_AND_NOT_P
-    gamma = FormulaSet([P, Neg(P)])
-    delta = FormulaSet([parse("p | q"), Neg(P)])
-    return [
-        ("p -> p is not a tautology",
-         [claim_entails(0, FormulaSet(), Imp(P, P), False),
-          {"kind": "eval", "valuation": {"p": "1/2"}, "formula": "p -> p",
-           "expected": "1/2"}]),
-        ("no tautologies: the empty set has no consequences",
-         [claim_entails(0, FormulaSet(), parse("p | ~p"), False),
-          claim_entails(0, FormulaSet(), parse("~(p & ~p)"), False),
-          claim_entails(0, FormulaSet(), parse("q -> q"), False),
-          {"kind": "tautology_free", "letters": ["p", "q"], "depth": 2,
-           "expected": True}]),
-        ("the unique consistent subset of {p & ~p} is the empty set",
-         [{"kind": "consistent_subsets", "gamma": [render(contradiction)],
-           "expected": [[]]}]),
-        ("inclusion failure: {p & ~p} does not para-yield itself",
-         [claim_entails(1, FormulaSet([contradiction]), contradiction, False)]),
-        ("transitivity failure transfers: stages hold but q escapes {p, ~p}",
-         [claim_entails(1, delta, Q, True),
-          claim_entails(1, gamma, parse("p | q"), True),
-          claim_entails(1, gamma, parse("p | ~p"), True),
-          claim_entails(1, gamma, Q, False)]),
-    ]
-
-
-_SUITES = {"L3": _suite_l3, "G3": _suite_g3, "K3": _suite_k3}
+_SUITES = {name: partial(_grid_witnesses, name) for name in ("L3", "G3", "K3")}
 
 
 def verify_witness_suite(spec: LogicSpec) -> list[WitnessResult]:
-    """Replay every stored counterexample for the given system."""
+    """Replay every stored witness of the grid columns of the given system."""
     suite = _SUITES.get(spec.matrix.name)
     if suite is None:
         raise ValueError(f"no stored witness suite for {spec.matrix.name!r}")

@@ -72,22 +72,25 @@ def resolve_logic(selector: str, matrix_path: str | None = None) -> Matrix:
             )
         return m
     if key.startswith("file:"):
-        path = selector[len("file:") :]
-        try:
-            return load_matrix_file(path)
-        except FileNotFoundError:
-            _fail(EXIT_PARSE, f"matrix file not found: {path}")
-        except MatrixError as exc:
-            _fail(EXIT_PARSE, f"invalid matrix file {path}: {exc}")
+        return _load_or_exit(selector[len("file:") :])
     search = matrix_path or os.environ.get("PARAMAT_MATRIX_PATH")
     if search:
         candidate = Path(search) / f"{selector}.matrix"
         if candidate.exists():
-            try:
-                return load_matrix_file(candidate)
-            except MatrixError as exc:
-                _fail(EXIT_PARSE, f"invalid matrix file {candidate}: {exc}")
+            return _load_or_exit(candidate)
     _fail(EXIT_USAGE, f"unknown logic selector: {selector!r}")
+    raise AssertionError("unreachable")
+
+
+def _load_or_exit(path: str | Path) -> Matrix:
+    """The matrix in the file at `path`; a file that cannot be read or does
+    not hold a valid matrix exits with EXIT_PARSE."""
+    try:
+        return load_matrix_file(path)
+    except OSError as exc:
+        _fail(EXIT_PARSE, f"cannot read matrix file {path}: {exc.strerror}")
+    except MatrixError as exc:
+        _fail(EXIT_PARSE, f"invalid matrix file {path}: {exc}")
     raise AssertionError("unreachable")
 
 
@@ -417,12 +420,7 @@ def matrix_list() -> None:
 @click.argument("path", type=click.Path())
 def matrix_validate(path) -> None:
     """Check a matrix file for structural validity."""
-    try:
-        m = load_matrix_file(path)
-    except FileNotFoundError:
-        _fail(EXIT_PARSE, f"matrix file not found: {path}")
-    except MatrixError as exc:
-        _fail(EXIT_PARSE, f"invalid matrix file: {exc}")
+    m = _load_or_exit(path)
     click.echo(f"ok: {m.name} ({len(m.values)} values)")
 
 

@@ -218,7 +218,8 @@ def load_matrix(document: str | Mapping) -> Matrix:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested deeper than the stack
             raise MatrixError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise MatrixError("matrix document must be a JSON object")
@@ -285,7 +286,12 @@ def load_matrix(document: str | Mapping) -> Matrix:
 
 
 def load_matrix_file(path: str | Path) -> Matrix:
-    return load_matrix(Path(path).read_text())
+    """Load and validate the matrix in a JSON file; OSError if it cannot be read."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixError(f"not UTF-8 text: {exc}") from exc
+    return load_matrix(text)
 
 
 def matrix_to_document(m: Matrix) -> dict:

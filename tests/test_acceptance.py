@@ -88,7 +88,7 @@ def test_criterion_1_truth_table_identity():
 
 
 # --------------------------------------------------------------------------
-# 2. Witness suite (>= 14 stored counterexamples replay, < 5 s)
+# 2. Witness suite (>= 14 of the grid's stored witnesses replay, < 5 s)
 
 
 def test_criterion_2_witness_suite():
@@ -364,12 +364,12 @@ def test_criterion_8_classical_sanity():
 
 
 # --------------------------------------------------------------------------
-# 9. The lemmas that decide 33 grid cells exactly, cross-checked by sampling
+# 9. The lemmas that decide 36 grid cells exactly, cross-checked by sampling
 #
 # The audit decides these rows by arguments that hold in every matrix (or,
-# for modus ponens and the conjunctive property, on a two-letter check of
-# the tables).  A wrong argument would show up as a violation here, on three
-# matrices beyond the grid's own.
+# for modus ponens and the conjunctive property of the base logics and of
+# their transforms, on a two-letter check of the tables).  A wrong argument
+# would show up as a violation here, on three matrices beyond the grid's own.
 
 LEMMA_MATRICES = (L3, G3, K3, CL2, lukasiewicz(4), goedel(5))
 # the rows decided by a lemma, per transform depth of the column
@@ -414,6 +414,11 @@ def _lemma_instances(rng, m, para_depth: int) -> dict:
     out["weak transitivity"] = rel(FormulaSet([a]), c) if chained else None
 
     if para_depth:
+        # the refutation of the conjunctive property: {z} yields q once it
+        # yields p | q and ~p | q, whatever z is
+        single = FormulaSet([draw_formula(rng, ["p", "q", "r"], 2)])
+        both = rel(single, Or(P, Q)) and rel(single, Or(Neg(P), Q))
+        out["P conjunction"] = rel(single, Q) if both else None
         return out
 
     out["inclusion"] = rel(gamma, member)
@@ -446,9 +451,12 @@ def test_criterion_9_normality_sampling():
     for m in LEMMA_MATRICES:
         for para_depth, rows in LEMMA_ROWS.items():
             spec = LogicSpec(m, para_depth)
-            for prop in rows:
+            expected = {prop: Outcome.HOLDS for prop in rows}
+            if para_depth:
+                expected[PropertyId.CONJUNCTIVE_PROPERTY] = Outcome.FAILS
+            for prop, outcome in expected.items():
                 verdict = check_property(spec, prop, budget)
-                assert (verdict.outcome, verdict.method) == (Outcome.HOLDS, Method.EXACT), (
+                assert (verdict.outcome, verdict.method) == (outcome, Method.EXACT), (
                     spec.name, prop.value,
                 )
                 assert verdict.samples_run == 0
@@ -463,10 +471,10 @@ def test_criterion_9_normality_sampling():
                     if not held:
                         violations.append((spec.name, lemma))
     assert violations == []
-    assert len(antecedents) == 9 and min(antecedents.values()) > 0, antecedents
+    assert len(antecedents) == 10 and min(antecedents.values()) > 0, antecedents
     _report(
         9,
         True,
-        f"zero violations of 9 lemmas on 200 draws per column of {len(LEMMA_MATRICES)} "
+        f"zero violations of 10 lemmas on 200 draws per column of {len(LEMMA_MATRICES)} "
         f"matrices (fewest antecedents: {min(antecedents.values())})",
     )

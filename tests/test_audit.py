@@ -26,8 +26,10 @@ from paramat.audit import (
     table_columns,
     verify_witness_suite,
 )
-from paramat.matrix import builtin
-from paramat.para import LogicSpec
+from paramat.formula import FormulaSet, parse
+from paramat.matrix import builtin, format_value
+from paramat.para import LogicSpec, consistent_subsets, logic_entails
+from paramat.semantics import Classification, classify, evaluate, tautology_free_check
 
 L3, G3, K3 = (builtin(n) for n in ("l3", "g3", "k3"))
 
@@ -60,72 +62,89 @@ class TestBudget:
             AuditBudget(**kwargs).validate()
 
 
+# (matrix, gamma, alpha, expected) entailment facts, the deduction-theorem
+# instances among them
+ENTAILS_CASES = [
+    (L3, ["p | q", "~p"], "q", True),
+    (L3, [], "q", False),
+    (L3, ["q"], "p -> p -> p & q", True),
+    (L3, [], "p -> p -> p", True),
+    (L3, [], "~(p -> p) -> ~(p -> p) -> ~(p -> p)", True),
+    (G3, ["q"], "p -> p & q", True),
+    (G3, [], "p -> p", True),
+    (G3, ["p"], "p", True),
+    (G3, [], "p & ~p -> p & ~p", True),
+]
+
+PARA_ENTAILS_CASES = [
+    (L3, ["p", "~p"], "q", False),
+    (K3, ["p", "~p"], "p | ~p", True),
+    # an inconsistent singleton yields only the tautologies
+    (G3, ["p & ~p"], "p & ~p", False),
+    (K3, ["p & ~p"], "p & ~p", False),
+    (G3, [], "p & ~p -> p & ~p", True),
+]
+
+# claim kinds that only the hand-written witness suites emitted; the facts
+# they replayed are checked below through the public functions
+REMOVED_KINDS = ("logic_entails", "classify", "consistent_subsets", "eval", "tautology_free")
+
+
 class TestReplay:
     def test_entails(self):
-        assert replay_claim(
-            L3, {"kind": "entails", "gamma": ["p | q", "~p"], "alpha": "q",
-                 "expected": True}
-        )
-        assert not replay_claim(
-            L3, {"kind": "entails", "gamma": [], "alpha": "q", "expected": True}
-        )
+        for m, gamma, alpha, expected in ENTAILS_CASES:
+            claim = {"kind": "entails", "gamma": gamma, "alpha": alpha, "expected": expected}
+            assert replay_claim(m, claim), claim
+            assert not replay_claim(m, {**claim, "expected": not expected}), claim
 
     def test_para_entails(self):
-        assert replay_claim(
-            L3, {"kind": "para_entails", "gamma": ["p", "~p"], "alpha": "q",
-                 "expected": False}
-        )
+        for m, gamma, alpha, expected in PARA_ENTAILS_CASES:
+            claim = {"kind": "para_entails", "gamma": gamma, "alpha": alpha, "expected": expected}
+            assert replay_claim(m, claim), claim
+            assert not replay_claim(m, {**claim, "expected": not expected}), claim
 
     def test_consistency_kinds(self):
         assert replay_claim(
             L3, {"kind": "consistent", "gamma": ["p", "~p"], "expected": False}
         )
         assert replay_claim(
+            L3, {"kind": "consistent", "gamma": ["p | q", "~p"], "expected": True}
+        )
+        assert replay_claim(
             L3, {"kind": "para_consistent", "gamma": ["p", "~p"], "expected": True}
         )
 
     def test_classify(self):
-        assert replay_claim(
-            G3, {"kind": "classify", "alpha": "p & ~p", "expected": "contradiction"}
-        )
+        assert classify(G3, parse("p & ~p")) is Classification.CONTRADICTION
+        assert classify(L3, parse("~(p -> p)")) is Classification.CONTRADICTION
 
     def test_consistent_subsets(self):
-        assert replay_claim(
-            L3,
-            {
-                "kind": "consistent_subsets",
-                "gamma": ["p", "~p"],
-                "expected": [[], ["p"], ["~p"]],
-            },
-        )
+        got = [[f.text for f in s] for s in consistent_subsets(L3, FormulaSet.from_text("p, ~p"))]
+        assert got == [[], ["p"], ["~p"]]
+        got = [[f.text for f in s] for s in consistent_subsets(K3, FormulaSet.from_text("p & ~p"))]
+        assert got == [[]]
 
     def test_eval(self):
-        assert replay_claim(
-            K3,
-            {"kind": "eval", "valuation": {"p": "1/2"}, "formula": "p -> p",
-             "expected": "1/2"},
-        )
+        half = Fraction(1, 2)
+        assert format_value(evaluate(K3, {"p": half}, parse("p -> p"))) == "1/2"
+        assert format_value(evaluate(G3, {"p": half}, parse("~p"))) == "0"
 
     def test_star_property(self):
         assert replay_claim(L3, {"kind": "star_property", "expected": True})
 
     def test_tautology_free(self):
-        assert replay_claim(
-            K3,
-            {"kind": "tautology_free", "letters": ["p", "q"], "depth": 2,
-             "expected": True},
-        )
+        assert tautology_free_check(K3, ["p", "q"], 2)
+        assert not tautology_free_check(L3, ["p", "q"], 2)
 
     def test_logic_entails(self):
-        assert replay_claim(
-            L3,
-            {"kind": "logic_entails", "depth": 2, "gamma": ["p", "~p"],
-             "alpha": "q", "expected": False},
-        )
+        gamma = FormulaSet.from_text("p, ~p")
+        assert not logic_entails(LogicSpec(L3, 2), gamma, parse("q"))
+        assert logic_entails(LogicSpec(L3, 0), gamma, parse("q"))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            replay_claim(L3, {"kind": "zzz"})
+        for kind in ("zzz", *REMOVED_KINDS):
+            with pytest.raises(ValueError, match="unknown claim kind"):
+                replay_claim(L3, {"kind": kind, "gamma": ["p"], "alpha": "p", "expected": True})
 
 
 class TestColumns:
@@ -166,11 +185,20 @@ class TestCells:
             "P(K3)": Outcome.FAILS,
         }
 
-    def test_conjunctive_para_fails_bounded(self):
+    def test_conjunctive_para_fails_exactly(self):
         v = check_property(LogicSpec(L3, 1), PropertyId.CONJUNCTIVE_PROPERTY, SMALL)
-        assert v.outcome is Outcome.FAILS
-        assert v.method is Method.BOUNDED
-        assert v.witness["candidates_checked"] > 100
+        assert (v.outcome, v.method, v.samples_run) == (Outcome.FAILS, Method.EXACT, 0)
+        kinds = [c["kind"] for c in v.witness["claims"]]
+        assert kinds == ["para_entails"] * 3 + ["entails"] * 2
+        assert replay_claims(L3, v.witness["claims"])
+
+    def test_conjunctive_para_undecided_without_its_premises(self):
+        # with 1/2 designated, p | q and ~p | q do not yield q (p = 1/2,
+        # q = 0), so a z yielding them need not yield q: no exact argument
+        v = check_property(LogicSpec(L3_HALF, 1), PropertyId.CONJUNCTIVE_PROPERTY, SMALL)
+        assert (v.outcome, v.method, v.samples_run, v.witness) == (
+            Outcome.UNDECIDED, Method.BOUNDED, 0, None,
+        )
 
     def test_modus_ponens_para_witness(self):
         v = check_property(LogicSpec(K3, 1), PropertyId.MODUS_PONENS, SMALL)

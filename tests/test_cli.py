@@ -275,6 +275,30 @@ class TestSelectors:
         assert result.exit_code == 1
 
 
+# matrix files that cannot be read, decoded or parsed
+_BAD_MATRIX_FILES = {
+    "directory": lambda path: path.mkdir(),
+    "not-utf8": lambda path: path.write_bytes(b'\xff\xfe{"name": "x"}'),
+    "deep-nesting": lambda path: path.write_text("[" * 100_000),
+}
+
+
+@pytest.mark.parametrize("make", _BAD_MATRIX_FILES.values(), ids=_BAD_MATRIX_FILES)
+@pytest.mark.parametrize("entry", ["file-selector", "matrix-path", "validate"])
+def test_a_bad_matrix_file_exits_3(runner, tmp_path, make, entry):
+    path = tmp_path / "bad.matrix"
+    make(path)
+    args = {
+        "file-selector": ["entails", "-l", f"file:{path}", "p", "p"],
+        "matrix-path": ["entails", "--matrix-path", str(tmp_path), "-l", "bad", "p", "p"],
+        "validate": ["matrix", "validate", str(path)],
+    }[entry]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.output.startswith("error: ")
+    assert result.output.count("\n") == 1
+
+
 class TestMatrixCommands:
     def test_show_l3(self, runner):
         result = runner.invoke(main, ["matrix", "show", "l3"])
