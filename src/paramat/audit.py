@@ -11,10 +11,13 @@ Rows that follow from the definition of matrix consequence (Łoś and
 Suszko 1958; Wójcicki 1988), in every matrix or given a two-letter check of
 its tables, are decided exactly by ``_lemma``, with that check as claims;
 the transforms' loss of the conjunctive property is refuted exactly the same
-way (``_refute_conjunctive``).  The other rows try stored-witness probes
-(``_probe``) first, then the sampling loop (``_sampled``).  Every cell is
-compared against the expected published value and mismatches are listed with
-their evidence instead of being silently corrected.
+way (``_refute_conjunctive``).  The transforms' rows of explosion, inclusion,
+idempotency, transitivity and modus ponens are decided by a stored two-letter
+witness alone (``_stored_witness``): FAILS when its claims replay, UNDECIDED
+when they do not.  Only the deduction-theorem rows sample (``_sampled``),
+after their stored witnesses, and base joint consistency draws candidate
+formulas.  Every cell is compared against the expected published value and
+mismatches are listed with their evidence instead of being silently corrected.
 
 ``run_table`` decides the 96 cells one after another in the calling
 process; each sampled cell draws from its own seeded stream.  The stored
@@ -32,7 +35,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .formula import (
-    And, Formula, FormulaSet, Imp, Letter, Neg, Or, draw_formula, parse, render,
+    And, Formula, FormulaSet, Imp, Letter, Neg, draw_formula, parse, render,
 )
 from .matrix import Matrix, builtin, has_star_property
 from .para import LogicSpec, is_para_consistent, para_entails
@@ -108,9 +111,6 @@ class AuditBudget:
     def validate(self) -> None:
         if min(self.samples, self.depth, self.letters, self.gamma_size) <= 0:
             raise ValueError("budget components must be positive")
-        if self.gamma_size < 2:
-            # modus ponens samples side premises next to a and a -> b
-            raise ValueError("gamma_size must be at least 2")
         if self.letters > len(LETTER_POOL):
             raise ValueError(f"letters must be at most {len(LETTER_POOL)}")
 
@@ -261,7 +261,7 @@ def replay_witness(m: Matrix, witness: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The checker form: stored-witness probes and the sampling loop
+# The checker form: stored witnesses and the sampling loop
 
 P, Q = Letter("p"), Letter("q")
 NOT_SELF_IMP = parse("~(p -> p)")  # unsatisfiable wherever 1 is the sole designated value
@@ -286,6 +286,10 @@ class _Cell:
         """A replayable claim about the column's consequence relation."""
         return claim_entails(self.spec.para_depth, gamma, alpha, expected)
 
+    def yields_but_not_q(self, gamma: FormulaSet, held: Sequence[Formula]) -> list[dict]:
+        """Claims that `gamma` yields each formula of `held`, but not q."""
+        return [*(self.claim(gamma, f, True) for f in held), self.claim(gamma, Q, False)]
+
     def stream(self) -> random.Random:
         """The cell's seeded random stream."""
         return random.Random(f"{self.budget.seed}|{self.prop.value}|{self.spec.name}")
@@ -302,12 +306,18 @@ def _sample_set(
     return FormulaSet(draw_formula(rng, names, depth) for _ in range(size))
 
 
-def _probe(cell: _Cell, description: str, claims: list[dict]) -> Decision | None:
-    """FAILS by a stored witness if all of its claims replay, else None."""
-    if replay_claims(cell.spec.matrix, claims):
-        witness = {"description": description, "claims": claims}
-        return Decision(Outcome.FAILS, Method.WITNESS, witness)
-    return None
+def _stored_witness(cell: _Cell, probes: Sequence[tuple[str, list[dict]]]) -> Decision:
+    """FAILS by the first stored witness, a (description, claims) pair, whose
+    claims all replay; UNDECIDED when none does."""
+    for description, claims in probes:
+        if replay_claims(cell.spec.matrix, claims):
+            witness = {"description": description, "claims": claims}
+            return Decision(Outcome.FAILS, Method.WITNESS, witness)
+    return Decision(
+        Outcome.UNDECIDED,
+        Method.WITNESS,
+        notes="stored witness did not demonstrate a failure for this matrix",
+    )
 
 
 def _lemma(description: str, claims: Sequence[dict] = ()) -> Decision:
@@ -321,19 +331,13 @@ def _sampled(
     cell: _Cell,
     description: str,
     draw: Callable[[random.Random, list[str]], list[dict] | None],
-    probes: Sequence[tuple[str, list[dict]]] = (),
 ) -> Decision:
-    """Stored-witness `probes`, (description, claims) pairs, first; then the
-    row's `draw` step once per sample on the cell's seeded stream.
+    """The row's `draw` step once per sample on the cell's seeded stream.
 
     `draw` returns None when the sample's antecedent does not hold, [] when
     the sample agrees with the property, or a counterexample's claims, which
     decide FAILS.  A HOLDS notes how many samples had the antecedent.
     """
-    for stored, claims in probes:
-        found = _probe(cell, stored, claims)
-        if found:
-            return found
     rng = cell.stream()
     names = cell.letters()
     hits = 0
@@ -361,35 +365,23 @@ def _check_explosive(cell: _Cell) -> Decision:
             # negation pushes designated values out of the designated set, so a
             # formula and its negation are never jointly designated: any set
             # yielding both has no models and entails everything
-            witness = {
-                "description": "negation maps designated values outside the "
-                "designated set; a set yielding x and ~x has no models",
-                "claims": [
+            return _lemma(
+                "negation maps designated values outside the designated set; "
+                "a set yielding x and ~x has no models",
+                [
                     {"kind": "star_property", "expected": True},
                     claim_consistent(0, pair, False),
                     claim_entails(0, pair, Q, True),
                 ],
-            }
-            return Decision(Outcome.HOLDS, Method.EXACT, witness)
+            )
         return Decision(
             Outcome.UNDECIDED,
             Method.BOUNDED,
             notes="matrix lacks the negation condition; no exact argument available",
         )
-    found = _probe(
-        cell,
-        "{p, ~p} yields both p and ~p but not q, so it is not inconsistent",
-        [
-            cell.claim(pair, P, True),
-            cell.claim(pair, Neg(P), True),
-            cell.claim(pair, Q, False),
-        ],
-    )
-    return found or Decision(
-        Outcome.UNDECIDED,
-        Method.WITNESS,
-        notes="stored witness did not demonstrate a failure for this matrix",
-    )
+    claims = cell.yields_but_not_q(pair, [P, Neg(P)])
+    stored = "{p, ~p} yields both p and ~p but not q, so it is not inconsistent"
+    return _stored_witness(cell, [(stored, claims)])
 
 
 def _check_paraconsistent(cell: _Cell) -> Decision:
@@ -538,23 +530,12 @@ _INCLUSION_CANDIDATES = (NOT_SELF_IMP, P_AND_NOT_P)
 def _check_inclusion(cell: _Cell) -> Decision:
     if cell.spec.para_depth == 0:
         return _lemma("every model of a set designates each of its members")
-    budget = cell.budget
     probes = []
     for w in _INCLUSION_CANDIDATES:
         single = FormulaSet([w])
         claims = [claim_consistent(0, single, False), cell.claim(single, w, False)]
         probes.append((f"{{{render(w)}}} does not yield itself", claims))
-
-    def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
-        gamma = _sample_set(rng, names, budget.depth, budget.gamma_size)
-        if not gamma:
-            return None
-        alpha = rng.choice(list(gamma))
-        if cell.rel(gamma, alpha):
-            return []
-        return [cell.claim(gamma, alpha, False)]
-
-    return _sampled(cell, "a premise is not among the consequences", draw, probes)
+    return _stored_witness(cell, probes)
 
 
 def _check_monotonicity(cell: _Cell) -> Decision:
@@ -566,17 +547,15 @@ def _check_monotonicity(cell: _Cell) -> Decision:
     )
 
 
-# (stored-witness description, sampled-counterexample description) per row
+# the stored witness's description per row
 _CUT_DESCRIPTIONS = {
     PropertyId.IDEMPOTENCY: (
         "p|q and ~p are consequences of {p, ~p}, and q follows from them, "
-        "but q is not a consequence of {p, ~p}",
-        "consequences of consequences escape the set",
+        "but q is not a consequence of {p, ~p}"
     ),
     PropertyId.TRANSITIVITY: (
         "every member of {p|q, ~p} follows from {p, ~p} and q follows "
-        "from {p|q, ~p}, yet q does not follow from {p, ~p}",
-        "chaining through an intermediate set fails",
+        "from {p|q, ~p}, yet q does not follow from {p, ~p}"
     ),
 }
 
@@ -588,48 +567,15 @@ def _check_cut(cell: _Cell) -> Decision:
             "a model of a set designates each of its consequences, so it is a "
             "model of any set of them and designates what that set yields"
         )
-    stored, sampled = _CUT_DESCRIPTIONS[cell.prop]
-    budget = cell.budget
     # {p, ~p} yields p|q and ~p, which yield q; {p, ~p} does not
     pair, chain = FormulaSet([P, Neg(P)]), FormulaSet([parse("p | q"), Neg(P)])
-    stored_claims = [
+    claims = [
         cell.claim(pair, parse("p | q"), True),
         cell.claim(pair, Neg(P), True),
         cell.claim(chain, Q, True),
         cell.claim(pair, Q, False),
     ]
-
-    def consequences(rng: random.Random, names: list[str], gamma: FormulaSet):
-        """Up to two consequences of `gamma`, found in at most eight tries."""
-        out: list[Formula] = []
-        members = list(gamma)
-        for _ in range(8):
-            if len(out) >= 2:
-                break
-            if members and rng.random() < 0.6:
-                guess: Formula = Or(rng.choice(members), draw_formula(rng, names, 1))
-            else:
-                guess = draw_formula(rng, names, budget.depth)
-            if cell.rel(gamma, guess):
-                out.append(guess)
-        return out
-
-    def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
-        gamma = _sample_set(rng, names, budget.depth, budget.gamma_size)
-        delta = consequences(rng, names, gamma)
-        if not delta:
-            return None
-        alpha = draw_formula(rng, names, budget.depth)
-        if not cell.rel(FormulaSet(delta), alpha):
-            return None
-        if cell.rel(gamma, alpha):
-            return []
-        claims = [cell.claim(gamma, d, True) for d in delta]
-        claims.append(cell.claim(FormulaSet(delta), alpha, True))
-        claims.append(cell.claim(gamma, alpha, False))
-        return claims
-
-    return _sampled(cell, sampled, draw, [(stored, stored_claims)])
+    return _stored_witness(cell, [(_CUT_DESCRIPTIONS[cell.prop], claims)])
 
 
 def _check_weak_transitivity(cell: _Cell) -> Decision:
@@ -648,7 +594,7 @@ _MP_READING = "read as the closure rule: a, a->b in Cn(G) imply b in Cn(G)"
 def _check_modus_ponens(cell: _Cell) -> Decision:
     """Modus ponens read as a closure rule: if a and a->b are consequences of a
     set, then so is b."""
-    decided = _check_detachment(cell) if cell.spec.para_depth == 0 else _sampled_mp(cell)
+    decided = _check_detachment(cell) if cell.spec.para_depth == 0 else _refute_mp(cell)
     decided.notes = "; ".join(filter(None, (_MP_READING, decided.notes)))
     return decided
 
@@ -666,42 +612,19 @@ def _check_detachment(cell: _Cell) -> Decision:
     witness = {
         "description": "the implication table does not detach: a valuation "
         "designates p and p -> q but not q",
-        "claims": [
-            cell.claim(pair, P, True),
-            cell.claim(pair, Imp(P, Q), True),
-            cell.claim(pair, Q, False),
-        ],
+        "claims": cell.yields_but_not_q(pair, [P, Imp(P, Q)]),
     }
     return Decision(Outcome.FAILS, Method.EXACT, witness)
 
 
-def _sampled_mp(cell: _Cell) -> Decision:
-    budget = cell.budget
-
-    def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
-        alpha = draw_formula(rng, names, budget.depth - 1)
-        beta = draw_formula(rng, names, budget.depth - 1)
-        gamma = _sample_set(rng, names, budget.depth, budget.gamma_size - 2)
-        if rng.random() < 0.7:
-            gamma = gamma.union([alpha, Imp(alpha, beta)])
-        if not (cell.rel(gamma, alpha) and cell.rel(gamma, Imp(alpha, beta))):
-            return None
-        if cell.rel(gamma, beta):
-            return []
-        return [
-            cell.claim(gamma, alpha, True),
-            cell.claim(gamma, Imp(alpha, beta), True),
-            cell.claim(gamma, beta, False),
-        ]
-
-    gamma = FormulaSet([P, parse("~p & (p -> q)")])
-    claims = [
-        cell.claim(gamma, P, True),
-        cell.claim(gamma, Imp(P, Q), True),
-        cell.claim(gamma, Q, False),
-    ]
-    probe = ("{p, ~p & (p -> q)} yields p and p -> q but not q", claims)
-    return _sampled(cell, "closure under detachment fails", draw, [probe])
+def _refute_mp(cell: _Cell) -> Decision:
+    """The transform is not closed under detachment, by a stored witness; the
+    second needs no conjunction, for a matrix whose & is not one."""
+    probes = []
+    for text in ("p, ~p & (p -> q)", "p, ~p"):
+        claims = cell.yields_but_not_q(FormulaSet.from_text(text), [P, Imp(P, Q)])
+        probes.append((f"{{{text}}} yields p and p -> q but not q", claims))
+    return _stored_witness(cell, probes)
 
 
 # Stored instances (forward?, alpha, beta) over the empty premise set; the
@@ -767,7 +690,10 @@ def _check_deduction(cell: _Cell) -> Decision:
                 hit = True
         return [] if hit else None
 
-    return _sampled(cell, "sampled counterexample", draw, probes)
+    found = _stored_witness(cell, probes)
+    if found.outcome is Outcome.FAILS:
+        return found
+    return _sampled(cell, "sampled counterexample", draw)
 
 
 _CHECKERS: dict[PropertyId, Callable[[_Cell], Decision]] = {
@@ -910,13 +836,14 @@ class WitnessResult:
 
 def _grid_witnesses(name: str) -> list[tuple[str, list[dict]]]:
     """The (description, claims) pair of every witness with claims in the
-    grid columns of the matrix `name` and its transform, at the default budget."""
+    grid columns of the matrix `name` and its transform.  No grid witness comes
+    from a draw, so one sample per cell finds them all."""
     pairs = []
     for spec in table_columns():
         if spec.matrix.name != name:
             continue
         for prop in TABLE_ROWS:
-            witness = check_property(spec, prop, AuditBudget()).witness
+            witness = check_property(spec, prop, AuditBudget(samples=1)).witness
             if witness and witness["claims"]:
                 description = f"{prop.value}/{spec.name}: {witness['description']}"
                 pairs.append((description, witness["claims"]))

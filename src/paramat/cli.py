@@ -6,6 +6,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -20,10 +21,12 @@ from .matrix import (
     goedel,
     load_matrix_file,
     lukasiewicz,
+    matrix_to_document,
 )
 from .para import (
     LogicSpec,
     SubsetBoundError,
+    is_para_consistent,
     logic_entails,
     maximal_consistent_subsets,
     para_entails,
@@ -36,9 +39,10 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -79,7 +83,6 @@ def resolve_logic(selector: str, matrix_path: str | None = None) -> Matrix:
         if candidate.exists():
             return _load_or_exit(candidate)
     _fail(EXIT_USAGE, f"unknown logic selector: {selector!r}")
-    raise AssertionError("unreachable")
 
 
 def _load_or_exit(path: str | Path) -> Matrix:
@@ -91,7 +94,6 @@ def _load_or_exit(path: str | Path) -> Matrix:
         _fail(EXIT_PARSE, f"cannot read matrix file {path}: {exc.strerror}")
     except MatrixError as exc:
         _fail(EXIT_PARSE, f"invalid matrix file {path}: {exc}")
-    raise AssertionError("unreachable")
 
 
 def _parse_set(text: str) -> FormulaSet:
@@ -99,7 +101,6 @@ def _parse_set(text: str) -> FormulaSet:
         return FormulaSet.from_text(text)
     except ParseError as exc:
         _fail(EXIT_PARSE, f"cannot parse premises: {exc}")
-        raise AssertionError("unreachable")
 
 
 def _parse_formula(text: str):
@@ -107,7 +108,6 @@ def _parse_formula(text: str):
         return parse(text)
     except ParseError as exc:
         _fail(EXIT_PARSE, f"cannot parse formula: {exc}")
-        raise AssertionError("unreachable")
 
 
 def _emit_json(document: dict) -> None:
@@ -141,8 +141,9 @@ _matrix_path_option = click.option(
 
 
 class _Main(click.Group):
-    """The command group; an unexpected exception exits with EXIT_INTERNAL,
-    and Ctrl-C with EXIT_INTERRUPTED.
+    """The command group; a premise set over the subset bound exits with
+    EXIT_USAGE, an unexpected exception with EXIT_INTERNAL, Ctrl-C with
+    EXIT_INTERRUPTED, and a closed stdout with EXIT_BROKEN_PIPE.
 
     Without this, click lets an exception escape as a traceback with exit
     status 1, and turns Ctrl-C into "Aborted!" with exit status 1; both read
@@ -154,6 +155,13 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except KeyboardInterrupt:
             _fail(EXIT_INTERRUPTED, "interrupted")
+        except SubsetBoundError as exc:
+            _fail(EXIT_USAGE, str(exc))
+        except BrokenPipeError:
+            # the reader has gone: say nothing, and point stdout at devnull
+            # so that the interpreter's final flush does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(EXIT_BROKEN_PIPE)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception as exc:
@@ -185,23 +193,20 @@ def cmd_entails(logic, para_depth, fmt, matrix_path, gamma, alpha) -> None:
         "gamma": [render(f) for f in premises],
         "alpha": render(conclusion),
     }
-    try:
-        if para_depth == 0:
-            result = entails(m, premises, conclusion)
-            holds = result.holds
-            if result.countermodel is not None:
-                document["countermodel"] = {
-                    k: format_value(v) for k, v in sorted(result.countermodel.items())
-                }
-        elif para_depth == 1:
-            result = para_entails(m, premises, conclusion)
-            holds = result.holds
-            if result.witness is not None:
-                document["witness"] = [render(f) for f in result.witness]
-        else:
-            holds = logic_entails(spec, premises, conclusion)
-    except SubsetBoundError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    if para_depth == 0:
+        result = entails(m, premises, conclusion)
+        holds = result.holds
+        if result.countermodel is not None:
+            document["countermodel"] = {
+                k: format_value(v) for k, v in sorted(result.countermodel.items())
+            }
+    elif para_depth == 1:
+        result = para_entails(m, premises, conclusion)
+        holds = result.holds
+        if result.witness is not None:
+            document["witness"] = [render(f) for f in result.witness]
+    else:
+        holds = logic_entails(spec, premises, conclusion)
     document["holds"] = holds
     if fmt == "json":
         _emit_json(document)
@@ -239,17 +244,12 @@ def cmd_classify(logic, fmt, matrix_path, alpha) -> None:
 @click.argument("gamma")
 def cmd_consistent(logic, para_depth, fmt, matrix_path, gamma) -> None:
     """Is GAMMA consistent (its consequences a proper subset of all formulas)?"""
-    from .para import is_para_consistent
-
     m = resolve_logic(logic, matrix_path)
     premises = _parse_set(gamma)
-    try:
-        if para_depth == 0:
-            verdict = is_consistent(m, premises)
-        else:
-            verdict = is_para_consistent(m, premises)
-    except SubsetBoundError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    if para_depth == 0:
+        verdict = is_consistent(m, premises)
+    else:
+        verdict = is_para_consistent(m, premises)
     if fmt == "json":
         _emit_json(
             {
@@ -272,10 +272,7 @@ def cmd_mss(logic, fmt, matrix_path, gamma) -> None:
     """The maximal consistent subsets of GAMMA, in canonical order."""
     m = resolve_logic(logic, matrix_path)
     premises = _parse_set(gamma)
-    try:
-        subsets = maximal_consistent_subsets(m, premises)
-    except SubsetBoundError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    subsets = maximal_consistent_subsets(m, premises)
     if fmt == "json":
         _emit_json(
             {
@@ -385,8 +382,6 @@ def matrix_show(fmt, matrix_path, selector) -> None:
     """Print the truth tables of a matrix, rows in descending value order."""
     m = resolve_logic(selector, matrix_path)
     if fmt == "json":
-        from .matrix import matrix_to_document
-
         _emit_json(matrix_to_document(m))
         return
     rows = sorted(m.values, reverse=True)

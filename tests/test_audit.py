@@ -33,11 +33,22 @@ from paramat.semantics import Classification, classify, evaluate, tautology_free
 
 L3, G3, K3 = (builtin(n) for n in ("l3", "g3", "k3"))
 
+# L3 with 1/2 designated too: {p, ~p} has a model, so joint consistency
+# needs a drawn witness, and detachment fails at 1/2 -> 0.
+L3_HALF = replace(L3, name="l3-half", designated=frozenset({Fraction(1), Fraction(1, 2)}))
+# L3 with & read as |, so a conjunction no longer yields its conjuncts
+L3_OR_AS_AND = replace(L3, name="l3-or-as-and", and_=L3.or_)
+# classical logic with negation as identity: {x, ~x} is {x}
+CL2 = builtin("cl2")
+CL2_FLAT = replace(CL2, name="cl2-flat", neg={v: v for v in CL2.values})
+
 SMALL = AuditBudget(samples=40, depth=3, letters=3, gamma_size=5, seed=0)
 
 # The JSON of run_table(SMALL); it changes only together with a CHANGES.md
 # entry explaining the change in output.
 GOLDEN_SMALL = Path(__file__).parent / "data" / "run_table_small.json"
+# The output of `paramat audit --format json --seed 0`.
+GOLDEN_AUDIT = Path(__file__).parent / "data" / "audit_seed0.json"
 
 
 class TestBudget:
@@ -201,9 +212,11 @@ class TestCells:
         )
 
     def test_modus_ponens_para_witness(self):
-        v = check_property(LogicSpec(K3, 1), PropertyId.MODUS_PONENS, SMALL)
-        assert v.outcome is Outcome.FAILS
-        assert v.method is Method.WITNESS
+        # the second stored witness needs no &, so it still refutes where & is |
+        for m, gamma in ((K3, "p, ~p & (p -> q)"), (L3_OR_AS_AND, "p, ~p")):
+            v = check_property(LogicSpec(m, 1), PropertyId.MODUS_PONENS, SMALL)
+            assert (v.outcome, v.method, v.samples_run) == (Outcome.FAILS, Method.WITNESS, 0)
+            assert v.witness["description"] == f"{{{gamma}}} yields p and p -> q but not q"
 
     def test_fails_verdicts_carry_replayable_witnesses(self):
         for spec in table_columns():
@@ -231,19 +244,41 @@ class TestCells:
 
     def test_joint_consistency_undecided_when_no_witness_is_drawn(self):
         # negation as identity: {x, ~x} is {x}, never inconsistent alone
-        cl2 = builtin("cl2")
-        flat = replace(cl2, name="cl2-flat", neg={v: v for v in cl2.values})
         budget = replace(SMALL, samples=50)
-        v = check_property(LogicSpec(flat, 0), PropertyId.JOINT_CONSISTENCY, budget)
+        v = check_property(LogicSpec(CL2_FLAT, 0), PropertyId.JOINT_CONSISTENCY, budget)
         assert (v.outcome, v.method, v.samples_run) == (Outcome.UNDECIDED, Method.BOUNDED, 50)
         assert v.witness is None
 
+    @pytest.mark.parametrize(
+        "m, para_depth, prop, outcome, method",
+        [
+            # no stored witness replays, and nothing is sampled instead
+            (L3_HALF, 1, PropertyId.IDEMPOTENCY, Outcome.UNDECIDED, Method.WITNESS),
+            (L3_HALF, 1, PropertyId.TRANSITIVITY, Outcome.UNDECIDED, Method.WITNESS),
+            (CL2_FLAT, 1, PropertyId.INCLUSION, Outcome.UNDECIDED, Method.WITNESS),
+            (CL2_FLAT, 1, PropertyId.IDEMPOTENCY, Outcome.UNDECIDED, Method.WITNESS),
+            (CL2_FLAT, 1, PropertyId.TRANSITIVITY, Outcome.UNDECIDED, Method.WITNESS),
+            (CL2_FLAT, 1, PropertyId.MODUS_PONENS, Outcome.UNDECIDED, Method.WITNESS),
+            # {p, ~p} has a model, so the negation condition fails
+            (L3_HALF, 0, PropertyId.EXPLOSIVE, Outcome.UNDECIDED, Method.BOUNDED),
+            # every candidate set has a model
+            (CL2_FLAT, 0, PropertyId.INCONSISTENT_SETS_EXIST, Outcome.FAILS, Method.BOUNDED),
+        ],
+        ids=lambda x: getattr(x, "name", None),
+    )
+    def test_decided_without_draws(self, monkeypatch, m, para_depth, prop, outcome, method):
+        def no_stream(cell):
+            raise AssertionError(f"{cell.prop.value} drew a sample")
 
-# L3 with 1/2 designated too: {p, ~p} has a model, so joint consistency
-# needs a drawn witness, and detachment fails at 1/2 -> 0.
-L3_HALF = replace(L3, name="l3-half", designated=frozenset({Fraction(1), Fraction(1, 2)}))
-# L3 with & read as |, so a conjunction no longer yields its conjuncts
-L3_OR_AS_AND = replace(L3, name="l3-or-as-and", and_=L3.or_)
+        monkeypatch.setattr(audit._Cell, "stream", no_stream)
+        v = check_property(LogicSpec(m, para_depth), prop, SMALL)
+        assert (v.outcome, v.method, v.samples_run) == (outcome, method, 0)
+        if outcome is Outcome.UNDECIDED:
+            assert v.witness is None
+        else:
+            claims = v.witness["claims"]
+            assert [(c["kind"], c["expected"]) for c in claims] == [("consistent", True)] * 3
+            assert replay_claims(m, claims)
 
 
 def _deciding(prop, decision):
@@ -418,6 +453,20 @@ class TestWitnessSuites:
             len(verify_witness_suite(LogicSpec(m))) for m in (L3, G3, K3)
         )
         assert total >= 14
+
+    @pytest.mark.parametrize("name", ["L3", "G3", "K3"])
+    def test_suite_is_the_golden_witnesses(self, name):
+        # every witness with claims in the matrix's two columns of the seed-0
+        # grid, so a witness only a draw finds cannot drop out unnoticed
+        grid = json.loads(GOLDEN_AUDIT.read_text(encoding="utf-8"))["grid"]
+        expected = {
+            f"{cell}: {v['witness']['description']}": v["witness"]["claims"]
+            for cell, v in grid.items()
+            if v["logic"] in (name, f"P({name})") and v["witness"] and v["witness"]["claims"]
+        }
+        suite = audit._SUITES[name]()
+        assert len(suite) == len(expected)
+        assert dict(suite) == expected
 
     def test_unknown_matrix(self):
         with pytest.raises(ValueError):

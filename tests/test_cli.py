@@ -161,6 +161,29 @@ class TestInterrupt:
             os.killpg(proc.pid, 0)  # nothing is left in the audit's process group
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["matrix", "show", "l3"], ["audit", "--samples", "20"], ["classify", "p"]],
+    ids=["matrix-show", "audit", "classify"],
+)
+def test_closed_stdout_exits_141_quietly(args):
+    # the read end is closed before the process starts, so its first write
+    # meets a broken pipe, as `paramat ... | head -1` may
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "paramat", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_python_m_paramat_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "paramat", "classify", "--logic", "g3", "p & ~p"],
@@ -228,6 +251,31 @@ class TestOtherQueries:
         result = runner.invoke(main, ["mss", "--logic", "l3", "p, ~p"])
         assert result.exit_code == 0
         assert result.output.strip() == "{p}; {~p}"
+
+
+class TestSubsetBound:
+    PREMISES = ", ".join(f"x{i}" for i in range(17))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["entails", "--para", "1", PREMISES, "q"],
+            ["entails", "--para", "2", PREMISES, "q"],
+            ["consistent", "--para", "1", PREMISES],
+            ["mss", PREMISES],
+        ],
+        ids=["entails-1", "entails-2", "consistent-1", "mss"],
+    )
+    def test_over_the_bound_exits_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr == "error: premise set of size 17 exceeds the bound 16\n"
+        assert result.stdout == ""
+
+    def test_the_base_logic_has_no_bound(self, runner):
+        result = runner.invoke(main, ["entails", "--para", "0", self.PREMISES, "q"])
+        assert result.exit_code == 1
+        assert result.output.startswith("fails\n")
 
 
 class TestSelectors:
@@ -338,15 +386,19 @@ class TestMatrixCommands:
 
 class TestAudit:
     def test_bad_budget_exit_2(self, runner):
-        # --gamma-size 1 leaves modus ponens no room for side premises, and
         # sampled formulas are drawn over at most five letters
-        for args in (["--samples", "0"], ["--gamma-size", "1"], ["--letters", "6"]):
+        for args in (["--samples", "0"], ["--gamma-size", "0"], ["--letters", "6"]):
             result = runner.invoke(main, ["audit", *args])
             assert result.exit_code == 2
             assert result.output.startswith("error: ")
             assert result.output.count("\n") == 1
         result = runner.invoke(main, ["audit", "--letters", "9"])
         assert result.output == "error: letters must be at most 5\n"
+
+    def test_one_premise_budget_runs(self, runner):
+        result = runner.invoke(main, ["audit", "--gamma-size", "1", "--samples", "20"])
+        assert result.exit_code == 0
+        assert result.output.count("[known]") == 4
 
     def test_audit_exit_0_with_known_discrepancies(self, runner):
         result = runner.invoke(main, ["audit", "--samples", "25"])
