@@ -16,8 +16,13 @@ idempotency, transitivity and modus ponens are decided by a stored two-letter
 witness alone (``_stored_witness``): FAILS when its claims replay, UNDECIDED
 when they do not.  Only the deduction-theorem rows sample (``_sampled``),
 after their stored witnesses, and base joint consistency draws candidate
-formulas.  Every cell is compared against the expected published value and
-mismatches are listed with their evidence instead of being silently corrected.
+formulas.  A deduction-theorem draw is decided from the value masks of its
+formulas (``_dt_relations``): each is evaluated once, the consequent's masks
+come from the implication table, and the transforms' relation is read off
+one subset-table fold; formulas, sets and claims are built only for a
+counterexample.  Every cell is compared against the expected published
+value and mismatches are listed with their evidence instead of being
+silently corrected.
 
 ``run_table`` decides the 96 cells one after another in the calling
 process; each sampled cell draws from its own seeded stream.  The stored
@@ -38,8 +43,10 @@ from .formula import (
     And, Formula, FormulaSet, Imp, Letter, Neg, draw_formula, parse, render,
 )
 from .matrix import Matrix, builtin, has_star_property
-from .para import LogicSpec, is_para_consistent, para_entails
-from .semantics import entails, is_consistent
+from .para import LogicSpec, _subset_tables, is_para_consistent, para_entails
+from .semantics import (
+    _binary_masks, _blocks, _designated, _masks, entails, is_consistent,
+)
 
 
 class PropertyId(Enum):
@@ -638,6 +645,69 @@ _DT_CANDIDATES = (
 )
 
 
+def _draw_dt_instance(
+    rng: random.Random, names: list[str], budget: AuditBudget
+) -> tuple[FormulaSet, Formula, Formula]:
+    """One sampled deduction-theorem instance (gamma, alpha, beta)."""
+    gamma = _sample_set(rng, names, budget.depth, budget.gamma_size - 1)
+    alpha = draw_formula(rng, names, budget.depth - 1)
+    roll = rng.random()
+    if roll < 0.4 and gamma:
+        beta: Formula = rng.choice(list(gamma))
+    elif roll < 0.7:
+        beta = And(alpha, draw_formula(rng, names, 1))
+    else:
+        beta = draw_formula(rng, names, budget.depth - 1)
+    return gamma, alpha, beta
+
+
+def _dt_relations(
+    cell: _Cell, gamma: FormulaSet, alpha: Formula, beta: Formula, modified: bool
+) -> tuple[bool, bool]:
+    """Whether gamma with alpha yields beta, and whether gamma yields the
+    consequent alpha -> beta (alpha -> (alpha -> beta) when `modified`), in
+    the column's relation, as `cell.rel` decides them.
+
+    Each formula is evaluated once over all the cell's letters (letters
+    outside a query's formulas do not change its verdict), and the
+    consequent's value masks are read off the implication table, so no
+    formula or set is built.
+    """
+    m = cell.spec.matrix
+
+    def blocks():
+        # per block: designated masks of gamma's members, alpha, beta and
+        # the consequent, and the all-ones mask
+        for _, letter_masks, memo, full in _blocks(m, cell.letters()):
+            a = _masks(m, alpha, letter_masks, memo)
+            b = _masks(m, beta, letter_masks, memo)
+            consequent = _binary_masks(m.imp_ix, a, b)
+            if modified:
+                consequent = _binary_masks(m.imp_ix, a, consequent)
+            members = [_designated(m, _masks(m, g, letter_masks, memo)) for g in gamma]
+            designated = (_designated(m, x) for x in (a, b, consequent))
+            yield members, *designated, full
+
+    if cell.spec.para_depth:
+        # alpha is the last member of gamma with alpha, unless gamma holds it
+        # already, so the subsets of gamma are the lower half of each table
+        n, with_alpha = len(gamma), alpha not in gamma
+        tables = (
+            (members + [a] if with_alpha else members, [b, consequent], full)
+            for members, a, b, consequent, full in blocks()
+        )
+        _, (to_beta, to_consequent) = _subset_tables(tables, n + with_alpha, 2)
+        return to_beta != 0, to_consequent & ((1 << (1 << n)) - 1) != 0
+    extended = discharged = True
+    for members, a, b, consequent, full in blocks():
+        models = full
+        for mask in members:
+            models &= mask
+        extended = extended and not models & a & ~b
+        discharged = discharged and not models & ~consequent
+    return extended, discharged
+
+
 def _check_deduction(cell: _Cell) -> Decision:
     """One of the four deduction-theorem rows.
 
@@ -672,23 +742,13 @@ def _check_deduction(cell: _Cell) -> Decision:
     ]
 
     def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
-        gamma = _sample_set(rng, names, budget.depth, budget.gamma_size - 1)
-        alpha = draw_formula(rng, names, budget.depth - 1)
-        roll = rng.random()
-        if roll < 0.4 and gamma:
-            beta: Formula = rng.choice(list(gamma))
-        elif roll < 0.7:
-            beta = And(alpha, draw_formula(rng, names, 1))
-        else:
-            beta = draw_formula(rng, names, budget.depth - 1)
-        hit = False
-        for forward in directions:
-            held, lost = instance(forward, gamma, alpha, beta)
-            if cell.rel(*held):
-                if not cell.rel(*lost):
-                    return claims(held, lost)
-                hit = True
-        return [] if hit else None
+        gamma, alpha, beta = _draw_dt_instance(rng, names, budget)
+        extended, discharged = _dt_relations(cell, gamma, alpha, beta, modified)
+        if extended and not discharged:
+            return claims(*instance(True, gamma, alpha, beta))
+        if biconditional and discharged and not extended:
+            return claims(*instance(False, gamma, alpha, beta))
+        return [] if extended or (biconditional and discharged) else None
 
     found = _stored_witness(cell, probes)
     if found.outcome is Outcome.FAILS:

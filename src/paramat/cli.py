@@ -10,6 +10,7 @@ from typing import NoReturn
 
 import click
 
+from . import __version__
 from .audit import AuditBudget, run_table
 from .formula import FormulaSet, ParseError, parse, render
 from .matrix import (
@@ -140,6 +141,14 @@ _matrix_path_option = click.option(
 )
 
 
+def _reader_gone() -> NoReturn:
+    """Exit with EXIT_BROKEN_PIPE and say nothing: stdout's reader has gone.
+    Stdout is pointed at devnull so that the interpreter's final flush does
+    not fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(EXIT_BROKEN_PIPE)
+
+
 class _Main(click.Group):
     """The command group; a premise set over the subset bound exits with
     EXIT_USAGE, an unexpected exception with EXIT_INTERNAL, Ctrl-C with
@@ -150,6 +159,13 @@ class _Main(click.Group):
     as "fails".
     """
 
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        # --help and --version print here, before any command is invoked
+        try:
+            return super().parse_args(ctx, args)
+        except BrokenPipeError:
+            _reader_gone()
+
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
@@ -158,10 +174,7 @@ class _Main(click.Group):
         except SubsetBoundError as exc:
             _fail(EXIT_USAGE, str(exc))
         except BrokenPipeError:
-            # the reader has gone: say nothing, and point stdout at devnull
-            # so that the interpreter's final flush does not fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(EXIT_BROKEN_PIPE)
+            _reader_gone()
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception as exc:
@@ -170,7 +183,9 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(package_name="paramat")
+# the version is passed, not read from package metadata, which a checkout
+# run with PYTHONPATH=src does not have
+@click.version_option(__version__)
 def main() -> None:
     """Many-valued matrix logics, a paraconsistent transform, and an auditor."""
 

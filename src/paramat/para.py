@@ -9,12 +9,15 @@ a target at depth 1 when one of its subsets is in the target's entailing
 table, so depth 2 up-closes those tables: the zeta transform of Björklund,
 Husfeldt, Kaski and Koivisto (STOC 2007).  Each closure is n shift-and-mask steps.
 The maximal consistent subsets, those with no consistent one-member extension,
-are set bits of a table that `str.find` locates in its binary string.
+are set bits of a table that `str.find` locates in its binary string.  The
+witness of `para_entails`, the first entailing subset in canonical order, is
+narrowed out of its table with the tables of each size and of each member.
 
-The tables are built from the engine's blocks of at most 2^12 valuations, one
-block at a time, so memory is O(2^n + block) whatever the number of letters;
-time still grows with the number of valuations.  n is at most the fixed
-DEFAULT_SUBSET_BOUND.
+The tables are folded by `_subset_tables` from the engine's blocks of at most
+2^12 valuations, one block at a time, so memory is O(2^n + block) whatever the
+number of letters; time still grows with the number of valuations.  The fold
+takes designated masks, not formulas, so the auditor feeds it masks it
+computed itself.  n is at most the fixed DEFAULT_SUBSET_BOUND.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .formula import Formula, FormulaSet, Letter
 from .matrix import Matrix
@@ -106,26 +109,24 @@ def _up(table: int, n: int) -> int:
     return table
 
 
-def _tables(
-    m: Matrix, gamma: FormulaSet, targets: Sequence[Formula] = ()
+def _subset_tables(
+    blocks: Iterable[tuple[Sequence[int], Sequence[int], int]], n: int, targets: int
 ) -> tuple[int, list[int]]:
-    """The consistent table of `gamma` and the entailing table of each target.
+    """The consistent table of n members and the entailing table of each of
+    `targets` targets, folded from blocks of valuations.
 
-    Built one block of valuations at a time: each block's membership sets go
-    into the consistent table, and into a target's refuted table where a
-    valuation of theirs refutes the target; both are down-closed at the end.
+    Each block gives the designated masks of the members and of the targets,
+    and its all-ones mask.  Its membership sets go into the consistent table,
+    and into a target's refuted table where a valuation of theirs refutes the
+    target; both are down-closed at the end.
     """
-    n = len(gamma)
     if n > DEFAULT_SUBSET_BOUND:
         raise SubsetBoundError(
             f"premise set of size {n} exceeds the bound {DEFAULT_SUBSET_BOUND}"
         )
-    domain = gamma.letters().union(*[t.letters for t in targets])
     consistent = 0
-    refuted = [0] * len(targets)
-    for _, letter_masks, memo, full in _blocks(m, domain):
-        member_masks = [_designated(m, _masks(m, g, letter_masks, memo)) for g in gamma]
-        target_masks = [_designated(m, _masks(m, t, letter_masks, memo)) for t in targets]
+    refuted = [0] * targets
+    for member_masks, target_masks, full in blocks:
         for members, vals in _membership_sets(member_masks, full):
             consistent |= 1 << members
             for i, mask in enumerate(target_masks):
@@ -133,6 +134,53 @@ def _tables(
                     refuted[i] |= 1 << members
     consistent = _down(consistent, n)
     return consistent, [consistent & ~_down(table, n) for table in refuted]
+
+
+def _tables(
+    m: Matrix, gamma: FormulaSet, targets: Sequence[Formula] = ()
+) -> tuple[int, list[int]]:
+    """The consistent table of `gamma` and the entailing table of each target,
+    built one block of valuations at a time."""
+    domain = gamma.letters().union(*[t.letters for t in targets])
+    blocks = (
+        (
+            [_designated(m, _masks(m, g, letter_masks, memo)) for g in gamma],
+            [_designated(m, _masks(m, t, letter_masks, memo)) for t in targets],
+            full,
+        )
+        for _, letter_masks, memo, full in _blocks(m, domain)
+    )
+    return _subset_tables(blocks, len(gamma), len(targets))
+
+
+@cache  # one entry per premise count, a few hundred kB in all up to 16
+def _of_size(n: int) -> tuple[int, ...]:
+    """For each size k from 0 to n, the table of the subsets of k members."""
+    if n == 0:
+        return (1,)
+    half = 1 << (n - 1)  # the subsets with member n - 1 are the upper half
+    smaller = (*_of_size(n - 1), 0)
+    return (1, *(smaller[k] | smaller[k - 1] << half for k in range(1, n + 1)))
+
+
+def _first_in_canonical_order(table: int, n: int) -> int:
+    """The bitset of the first subset of a nonempty table in canonical order.
+
+    The smallest size with a subset in the table comes first.  Of two subsets
+    of one size, combination order puts first the one that holds the lowest
+    member where they differ, so the candidates are narrowed member by member
+    to those holding it, whenever one does.
+    """
+    for layer in _of_size(n):
+        candidates = table & layer
+        if candidates:
+            break
+    for has in _with_member(n):
+        if candidates & (candidates - 1) == 0:
+            break
+        if narrowed := candidates & has:
+            candidates = narrowed
+    return candidates.bit_length() - 1
 
 
 def _in_canonical_order(gamma: FormulaSet, table: int) -> Iterator[FormulaSet]:
@@ -182,7 +230,8 @@ def para_entails(m: Matrix, gamma: FormulaSet, alpha: Formula) -> ParaResult:
     _, (entailing,) = _tables(m, gamma, [alpha])
     if not entailing:
         return ParaResult(False)
-    return ParaResult(True, next(_in_canonical_order(gamma, entailing)))
+    witness = _first_in_canonical_order(entailing, len(gamma))
+    return ParaResult(True, _members_of(gamma, witness))
 
 
 def fresh_letter(used: set[str]) -> Formula:

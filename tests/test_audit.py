@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from paramat import audit
+from paramat import audit, semantics
 from paramat.audit import (
     COLUMN_NAMES,
     KNOWN_DISCREPANCIES,
@@ -26,8 +26,8 @@ from paramat.audit import (
     table_columns,
     verify_witness_suite,
 )
-from paramat.formula import FormulaSet, parse
-from paramat.matrix import builtin, format_value
+from paramat.formula import FormulaSet, Imp, parse
+from paramat.matrix import builtin, format_value, lukasiewicz
 from paramat.para import LogicSpec, consistent_subsets, logic_entails
 from paramat.semantics import Classification, classify, evaluate, tautology_free_check
 
@@ -311,6 +311,72 @@ class TestSamplesRun:
             fewer = check_property(spec, prop, replace(SMALL, samples=v.samples_run - 1))
             assert fewer.outcome is not outcome
             assert fewer.samples_run == v.samples_run - 1
+
+
+DT_ROWS = (
+    PropertyId.FULL_DT,
+    PropertyId.MODIFIED_FULL_DT,
+    PropertyId.WEAK_DT_FWD,
+    PropertyId.MODIFIED_WEAK_DT_FWD,
+)
+
+
+def _relations_by_query(cell, gamma, alpha, beta, modified):
+    """What `audit._dt_relations` decides from masks, asked of the column's
+    consequence relation instead."""
+    consequent = Imp(alpha, Imp(alpha, beta)) if modified else Imp(alpha, beta)
+    return cell.rel(gamma.union([alpha]), beta), cell.rel(gamma, consequent)
+
+
+class TestDeductionMasks:
+    """The deduction-theorem draws are decided from value masks; the
+    relations they read must be those `entails` and `para_entails` give."""
+
+    @pytest.mark.parametrize("spec", table_columns(), ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("prop", DT_ROWS, ids=lambda prop: prop.value)
+    def test_agree_with_the_queries_on_the_grid_draws(self, spec, prop):
+        # every instance the default grid's cell draws
+        cell = audit._Cell(spec, prop, AuditBudget())
+        modified = prop in (PropertyId.MODIFIED_FULL_DT, PropertyId.MODIFIED_WEAK_DT_FWD)
+        rng, names = cell.stream(), cell.letters()
+        for _ in range(cell.budget.samples):
+            gamma, alpha, beta = audit._draw_dt_instance(rng, names, cell.budget)
+            got = audit._dt_relations(cell, gamma, alpha, beta, modified)
+            assert got == _relations_by_query(cell, gamma, alpha, beta, modified)
+
+    @pytest.mark.parametrize("para_depth", [0, 1])
+    @pytest.mark.parametrize("modified", [False, True])
+    def test_agree_over_several_blocks(self, para_depth, modified):
+        m = lukasiewicz(17)  # 17^3 = 4913 valuations: more than one block
+        cell = audit._Cell(LogicSpec(m, para_depth), PropertyId.FULL_DT, SMALL)
+        assert len(list(semantics._blocks(m, cell.letters()))) > 1
+        rng, names = cell.stream(), cell.letters()
+        seen = set()
+        for _ in range(30):
+            gamma, alpha, beta = audit._draw_dt_instance(rng, names, cell.budget)
+            got = audit._dt_relations(cell, gamma, alpha, beta, modified)
+            assert got == _relations_by_query(cell, gamma, alpha, beta, modified)
+            seen.add(got)
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize(
+        "prop, spec",
+        [
+            (PropertyId.FULL_DT, LogicSpec(K3, 0)),
+            (PropertyId.WEAK_DT_FWD, LogicSpec(L3, 0)),
+            (PropertyId.FULL_DT, LogicSpec(L3, 1)),
+            (PropertyId.MODIFIED_WEAK_DT_FWD, LogicSpec(K3, 1)),
+        ],
+        ids=lambda x: getattr(x, "name", getattr(x, "value", None)),
+    )
+    def test_a_drawn_counterexample_carries_replaying_claims(self, monkeypatch, prop, spec):
+        # without the stored witnesses these cells fail by a draw
+        monkeypatch.setattr(audit, "_DT_CANDIDATES", ())
+        v = check_property(spec, prop, AuditBudget())
+        assert (v.outcome, v.method) == (Outcome.FAILS, Method.SAMPLED)
+        claims = v.witness["claims"]
+        assert [c["expected"] for c in claims] == [True, False]
+        assert replay_claims(spec.matrix, claims)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Command-line interface tests: commands, exit codes, JSON determinism."""
 
+import importlib.metadata
 import json
 import os
 import re
@@ -163,8 +164,13 @@ class TestInterrupt:
 
 @pytest.mark.parametrize(
     "args",
-    [["matrix", "show", "l3"], ["audit", "--samples", "20"], ["classify", "p"]],
-    ids=["matrix-show", "audit", "classify"],
+    [
+        ["matrix", "show", "l3"],
+        ["audit", "--samples", "20"],
+        ["classify", "p"],
+        ["--help"],  # printed while the arguments are parsed
+    ],
+    ids=["matrix-show", "audit", "classify", "help"],
 )
 def test_closed_stdout_exits_141_quietly(args):
     # the read end is closed before the process starts, so its first write
@@ -182,6 +188,23 @@ def test_closed_stdout_exits_141_quietly(args):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+class TestVersion:
+    def test_needs_no_package_metadata(self, runner, monkeypatch):
+        # a checkout run with PYTHONPATH=src has no installed metadata
+        def not_installed(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", not_installed)
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert result.output.endswith(f"version {paramat.__version__}\n")
+
+    def test_matches_pyproject(self):
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        project = pyproject.read_text().split("[project]", 1)[1]
+        assert re.search(r'^version = "([^"]+)"$', project, re.M)[1] == paramat.__version__
 
 
 def test_python_m_paramat_runs_the_cli():
