@@ -14,20 +14,21 @@ the transforms' loss of the conjunctive property is refuted exactly the same
 way (``_refute_conjunctive``).  The transforms' rows of explosion, inclusion,
 idempotency, transitivity and modus ponens are decided by a stored two-letter
 witness alone (``_stored_witness``): FAILS when its claims replay, UNDECIDED
-when they do not.  Only the deduction-theorem rows sample (``_sampled``),
-after their stored witnesses, and base joint consistency draws candidate
-formulas.  A deduction-theorem draw is decided from the value masks of its
-formulas (``_dt_relations``): each is evaluated once, the consequent's masks
-come from the implication table, and the transforms' relation is read off
-one subset-table fold; formulas, sets and claims are built only for a
-counterexample.  Every cell is compared against the expected published
-value and mismatches are listed with their evidence instead of being
-silently corrected.
+when they do not.  The deduction-theorem rows try their stored witnesses,
+then exact arguments on the tables (``_dt_argument``): the base converse by
+one detachment claim, premise discharge by endomorphisms of the algebra
+that keep the designated values designated, lifted to the transforms by one
+claim, or refuted by two one-letter terms.  The searches run up to four
+values (``_SEARCH_CAP``); what they leave undecided is sampled
+(``_sampled``), a draw decided from the value masks of its formulas
+(``_dt_relations``).  Base joint consistency draws candidate formulas.
+Every cell is compared against the expected published value and mismatches
+are listed with their evidence instead of being silently corrected.
 
 ``run_table`` decides the 96 cells one after another in the calling
-process; each sampled cell draws from its own seeded stream.  The stored
-witness suites (``verify_witness_suite``) replay the claims of the grid's own
-witnesses for L3, G3 and K3 and their transforms.
+process, and none of them samples.  The stored witness suites
+(``verify_witness_suite``) replay the claims of the grid's own witnesses for
+L3, G3 and K3 and their transforms.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partial
+from itertools import product
 from typing import Callable, Sequence
 
 from .formula import (
-    And, Formula, FormulaSet, Imp, Letter, Neg, draw_formula, parse, render,
+    And, Formula, FormulaSet, Imp, Letter, Neg, Or, draw_formula, parse, render,
 )
-from .matrix import Matrix, builtin, has_star_property
+from .matrix import Matrix, builtin, format_value, has_star_property
 from .para import LogicSpec, _subset_tables, is_para_consistent, para_entails
 from .semantics import (
     _binary_masks, _blocks, _designated, _masks, entails, is_consistent,
@@ -708,34 +710,225 @@ def _dt_relations(
     return extended, discharged
 
 
+_MODIFIED_ROWS = (PropertyId.MODIFIED_FULL_DT, PropertyId.MODIFIED_WEAK_DT_FWD)
+# each biconditional row and the row of its forward direction
+_FORWARD_ROWS = {
+    PropertyId.FULL_DT: PropertyId.WEAK_DT_FWD,
+    PropertyId.MODIFIED_FULL_DT: PropertyId.MODIFIED_WEAK_DT_FWD,
+}
+
+# The exact deduction-theorem arguments search the maps V -> V and the
+# one-letter term functions, vectors in V^V: at most |V|^|V| of each, so they
+# run only while that is at most this, up to four values.
+_SEARCH_CAP = 256
+
+
+def _consequent(cell: _Cell, alpha: Formula, beta: Formula) -> Formula:
+    """alpha -> beta, or alpha -> (alpha -> beta) in the modified rows."""
+    return Imp(alpha, Imp(alpha, beta)) if cell.prop in _MODIFIED_ROWS else Imp(alpha, beta)
+
+
+def _dt_claims(
+    cell: _Cell, forward: bool, gamma: FormulaSet, alpha: Formula, beta: Formula
+) -> list[dict]:
+    """The claims of a counterexample to premise discharge or to its converse:
+    the pair (premises, conclusion) that holds, then the one that fails."""
+    extended = (gamma.union([alpha]), beta)
+    discharged = (gamma, _consequent(cell, alpha, beta))
+    held, lost = (extended, discharged) if forward else (discharged, extended)
+    return [cell.claim(*held, True), cell.claim(*lost, False)]
+
+
+def _undecided(notes: str) -> Decision:
+    return Decision(Outcome.UNDECIDED, Method.EXACT, notes=notes)
+
+
+def _endomorphisms(m: Matrix) -> list[tuple[int, ...]]:
+    """The maps h of the value indices, the identity first, that commute with
+    every connective and keep the designated values designated."""
+    n, designated = len(m.values), set(m.designated_ix)
+    identity = tuple(range(n))
+    return [identity] + [
+        h
+        for h in product(identity, repeat=n)
+        if h != identity
+        and designated.issuperset(h[x] for x in designated)
+        and all(h[m.neg_ix[x]] == m.neg_ix[h[x]] for x in identity)
+        and all(
+            h[t[x][y]] == t[h[x]][h[y]]
+            for t in (m.or_ix, m.and_ix, m.imp_ix)
+            for x in identity
+            for y in identity
+        )
+    ]
+
+
+def _discharging_maps(m: Matrix, d: set[int], c: list[list[int]]) -> list[tuple[int, ...]] | None:
+    """For each pair of values x, y with c(x, y) not in `d`, the first
+    endomorphism h that makes h(x) designated and h(y) not; None when a pair
+    has none.  If v designates gamma but not c(alpha, beta), the map for
+    (v(alpha), v(beta)) turns v into a valuation that designates gamma and
+    alpha but not beta, so the maps prove premise discharge."""
+    maps, used = _endomorphisms(m), set()
+    for x, y in product(range(len(m.values)), repeat=2):
+        if c[x][y] not in d:
+            h = next((h for h in maps if h[x] in d and h[y] not in d), None)
+            if h is None:
+                return None
+            used.add(h)
+    return [h for h in maps if h in used]
+
+
+def _one_letter_refutation(
+    m: Matrix, d: set[int], c: list[list[int]]
+) -> tuple[Formula, Formula] | None:
+    """Formulas s, t in p, s satisfiable, such that {s} yields t but c(s, t)
+    is not designated everywhere: a counterexample to premise discharge, also
+    under the transform, where the consistent {s} yields what s yields.
+
+    The functions of p that formulas define are closed from p level by level,
+    as value vectors over p = 0..n-1, each with a formula of least depth."""
+    terms: dict[tuple[int, ...], Formula] = {tuple(range(len(m.values))): P}
+    level = dict(terms)
+    ops = ((Or, m.or_ix), (And, m.and_ix), (Imp, m.imp_ix))
+    while level:
+        made: dict[tuple[int, ...], tuple] = {}
+        for u, f in level.items():
+            made.setdefault(tuple(m.neg_ix[a] for a in u), (Neg, f))
+            for w, g in terms.items():
+                for op, t in ops:
+                    made.setdefault(tuple(t[a][b] for a, b in zip(u, w)), (op, f, g))
+                    made.setdefault(tuple(t[b][a] for a, b in zip(u, w)), (op, g, f))
+        level = {v: op(*args) for v, (op, *args) in made.items() if v not in terms}
+        terms.update(level)
+    for s, alpha in terms.items():
+        if d.isdisjoint(s):
+            continue
+        for t, beta in terms.items():
+            pairs = list(zip(s, t))
+            yields = all(y in d for x, y in pairs if x in d)
+            if yields and any(c[x][y] not in d for x, y in pairs):
+                return alpha, beta
+    return None
+
+
+def _write_map(m: Matrix, h: tuple[int, ...]) -> str:
+    """`h` as "h(0, 1/2, 1) = (0, 1, 1)": the values, then their images."""
+    images = ", ".join(format_value(m.values[i]) for i in h)
+    return f"h({', '.join(map(format_value, m.values))}) = ({images})"
+
+
+def _dt_converse(cell: _Cell) -> Decision:
+    """The converse, gamma yielding c(alpha, beta) only if gamma with alpha
+    yields beta, in the base column: it holds, by substitution, exactly when
+    {p, c(p, q)} yields q, and otherwise {c(p, q)} with alpha = p, beta = q
+    refutes it."""
+    if cell.spec.para_depth:
+        return _undecided("no exact argument decides the converse under the transform")
+    c = _consequent(cell, P, Q)
+    if cell.rel(FormulaSet([P, c]), Q):
+        return _lemma(
+            f"converse holds: {{p, {render(c)}}} yields q, so by substitution "
+            f"{{alpha, {render(_consequent(cell, Letter('alpha'), Letter('beta')))}}} "
+            "yields beta",
+            [cell.claim(FormulaSet([P, c]), Q, True)],
+        )
+    witness = {
+        "description": f"converse fails: gamma = {{{render(c)}}}, alpha = p, beta = q",
+        "claims": _dt_claims(cell, False, FormulaSet([c]), P, Q),
+    }
+    return Decision(Outcome.FAILS, Method.EXACT, witness)
+
+
+def _dt_argument(cell: _Cell) -> Decision:
+    """The row decided by exact arguments, or UNDECIDED with the reason in its
+    notes.
+
+    A biconditional row takes its converse from `_dt_converse` and its
+    forward direction from its "(=>)" row's decision, so it never holds
+    where that row fails.  Forward, base column: by `_discharging_maps`.
+    Forward, transform: when the base logic discharges premises and {q}
+    yields c(p, q), a consistent subset of gamma with alpha that yields beta
+    either leaves alpha out, and yields c(alpha, beta) through beta, or is a
+    consistent subset of gamma with alpha added, where the base discharge
+    applies.  Where no maps discharge premises, two one-letter terms may
+    refute it in either column (`_one_letter_refutation`).
+    """
+    m, para = cell.spec.matrix, cell.spec.para_depth
+    forward_row = _FORWARD_ROWS.get(cell.prop)
+    if forward_row is not None:
+        converse = _dt_converse(cell)
+        if converse.outcome is Outcome.FAILS:
+            return converse
+        forward = _check_deduction(replace(cell, prop=forward_row))
+        if forward.outcome is Outcome.FAILS:
+            return forward
+        if converse.outcome is Outcome.UNDECIDED:
+            return converse
+        parts = [w for w in (converse.witness, forward.witness) if w]
+        witness = {
+            "description": "; ".join(w["description"] for w in parts),
+            "claims": [claim for w in parts for claim in w["claims"]],
+        }
+        return replace(forward, witness=witness)
+    n = len(m.values)
+    if n**n > _SEARCH_CAP:
+        return _undecided(
+            f"{n}^{n} value maps exceed the search cap of {_SEARCH_CAP}, "
+            "so no exact argument is tried"
+        )
+    imp, d = m.imp_ix, set(m.designated_ix)
+    modified = cell.prop in _MODIFIED_ROWS
+    c = [[imp[x][imp[x][y]] if modified else imp[x][y] for y in range(n)] for x in range(n)]
+    maps = _discharging_maps(m, d, c)
+    if maps is not None:
+        consequent = render(_consequent(cell, Letter("x"), Letter("y")))
+        described = (
+            f"premise discharge holds: wherever {consequent} is undesignated, one "
+            "of these endomorphisms keeps the designated values designated and "
+            f"makes x designated and y not: {'; '.join(_write_map(m, h) for h in maps)}"
+        )
+        if not para:
+            return _lemma(described)
+        lift = FormulaSet([Q]), _consequent(cell, P, Q)
+        if entails(m, *lift).holds:
+            return _lemma(
+                f"{described}; {{q}} yields {render(lift[1])}, so this lifts to the transform",
+                [claim_entails(0, *lift, True)],
+            )
+        return _undecided(
+            f"the base logic discharges premises, but {{q}} does not yield "
+            f"{render(lift[1])}, so no exact argument lifts that to the transform"
+        )
+    refuted = _one_letter_refutation(m, d, c)
+    if refuted is None:
+        return _undecided("no endomorphisms discharge premises and no one-letter terms refute it")
+    alpha, beta = refuted
+    witness = {
+        "description": f"premise discharge fails: alpha = {render(alpha)}, beta = {render(beta)}",
+        "claims": _dt_claims(cell, True, FormulaSet(), alpha, beta),
+    }
+    return Decision(Outcome.FAILS, Method.EXACT, witness)
+
+
 def _check_deduction(cell: _Cell) -> Decision:
     """One of the four deduction-theorem rows.
 
     The "full" variants are biconditionals; the "(=>)" variants only assert
     the forward direction (premise discharge).  Stored counterexample
-    candidates are tried first so failures are deterministic; otherwise the
-    implication is sampled.
+    candidates are tried first so failures are deterministic, then the exact
+    arguments of `_dt_argument`; only what they leave undecided is sampled.
     """
-    budget, prop = cell.budget, cell.prop
-    biconditional = prop in (PropertyId.FULL_DT, PropertyId.MODIFIED_FULL_DT)
-    modified = prop in (PropertyId.MODIFIED_FULL_DT, PropertyId.MODIFIED_WEAK_DT_FWD)
+    budget = cell.budget
+    biconditional = cell.prop in _FORWARD_ROWS
+    modified = cell.prop in _MODIFIED_ROWS
     directions = (True, False) if biconditional else (True,)
-
-    def instance(forward: bool, gamma: FormulaSet, alpha: Formula, beta: Formula):
-        """The pairs (premises, conclusion) that hold and fail in a counterexample."""
-        consequent = Imp(alpha, Imp(alpha, beta)) if modified else Imp(alpha, beta)
-        extended, discharged = (gamma.union([alpha]), beta), (gamma, consequent)
-        return (extended, discharged) if forward else (discharged, extended)
-
-    def claims(held: tuple, lost: tuple) -> list[dict]:
-        return [cell.claim(*held, True), cell.claim(*lost, False)]
-
     probes = [
         (
             f"premise discharge fails: alpha = {render(alpha)}, beta = {render(beta)}"
             if forward
             else f"converse fails: alpha = beta = {render(alpha)}",
-            claims(*instance(forward, FormulaSet(), alpha, beta)),
+            _dt_claims(cell, forward, FormulaSet(), alpha, beta),
         )
         for forward, alpha, beta in _DT_CANDIDATES
         if forward in directions
@@ -745,15 +938,19 @@ def _check_deduction(cell: _Cell) -> Decision:
         gamma, alpha, beta = _draw_dt_instance(rng, names, budget)
         extended, discharged = _dt_relations(cell, gamma, alpha, beta, modified)
         if extended and not discharged:
-            return claims(*instance(True, gamma, alpha, beta))
+            return _dt_claims(cell, True, gamma, alpha, beta)
         if biconditional and discharged and not extended:
-            return claims(*instance(False, gamma, alpha, beta))
+            return _dt_claims(cell, False, gamma, alpha, beta)
         return [] if extended or (biconditional and discharged) else None
 
     found = _stored_witness(cell, probes)
     if found.outcome is Outcome.FAILS:
         return found
-    return _sampled(cell, "sampled counterexample", draw)
+    argued = _dt_argument(cell)
+    if argued.outcome is not Outcome.UNDECIDED:
+        return argued
+    sampled = _sampled(cell, "sampled counterexample", draw)
+    return replace(sampled, notes="; ".join(filter(None, (argued.notes, sampled.notes))))
 
 
 _CHECKERS: dict[PropertyId, Callable[[_Cell], Decision]] = {

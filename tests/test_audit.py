@@ -27,7 +27,7 @@ from paramat.audit import (
     verify_witness_suite,
 )
 from paramat.formula import FormulaSet, Imp, parse
-from paramat.matrix import builtin, format_value, lukasiewicz
+from paramat.matrix import builtin, format_value, goedel, lukasiewicz
 from paramat.para import LogicSpec, consistent_subsets, logic_entails
 from paramat.semantics import Classification, classify, evaluate, tautology_free_check
 
@@ -227,8 +227,10 @@ class TestCells:
                     assert replay_claims(spec.matrix, v.witness["claims"])
 
     def test_determinism(self):
-        a = check_property(LogicSpec(L3, 0), PropertyId.MODIFIED_WEAK_DT_FWD, SMALL)
-        b = check_property(LogicSpec(L3, 0), PropertyId.MODIFIED_WEAK_DT_FWD, SMALL)
+        # five values are above the search cap, so this cell still samples
+        spec = LogicSpec(lukasiewicz(5), 0)
+        a = check_property(spec, PropertyId.MODIFIED_WEAK_DT_FWD, SMALL)
+        b = check_property(spec, PropertyId.MODIFIED_WEAK_DT_FWD, SMALL)
         assert a.method is Method.SAMPLED
         assert a.to_json() == b.to_json()
 
@@ -286,6 +288,14 @@ def _deciding(prop, decision):
     return {**audit._CHECKERS, prop: lambda cell: decision}
 
 
+@pytest.fixture
+def dt_sampled(monkeypatch):
+    """The deduction-theorem rows with their exact arguments patched out:
+    what the stored witnesses leave undecided is sampled."""
+    undecided = Decision(Outcome.UNDECIDED, Method.EXACT)
+    monkeypatch.setattr(audit, "_dt_argument", lambda cell: undecided)
+
+
 class TestSamplesRun:
     """`samples_run` counts the random draws a cell made before it stopped."""
 
@@ -297,7 +307,7 @@ class TestSamplesRun:
         ],
         ids=["joint-witness", "sampled-fails"],
     )
-    def test_counts_the_draws_made(self, m, prop, outcome, method):
+    def test_counts_the_draws_made(self, dt_sampled, m, prop, outcome, method):
         spec = LogicSpec(m, 0)
         v = check_property(spec, prop, SMALL)
         assert (v.outcome, v.method) == (outcome, method)
@@ -335,7 +345,7 @@ class TestDeductionMasks:
     @pytest.mark.parametrize("spec", table_columns(), ids=lambda spec: spec.name)
     @pytest.mark.parametrize("prop", DT_ROWS, ids=lambda prop: prop.value)
     def test_agree_with_the_queries_on_the_grid_draws(self, spec, prop):
-        # every instance the default grid's cell draws
+        # every instance the default budget draws on the cell's stream
         cell = audit._Cell(spec, prop, AuditBudget())
         modified = prop in (PropertyId.MODIFIED_FULL_DT, PropertyId.MODIFIED_WEAK_DT_FWD)
         rng, names = cell.stream(), cell.letters()
@@ -369,14 +379,110 @@ class TestDeductionMasks:
         ],
         ids=lambda x: getattr(x, "name", getattr(x, "value", None)),
     )
-    def test_a_drawn_counterexample_carries_replaying_claims(self, monkeypatch, prop, spec):
-        # without the stored witnesses these cells fail by a draw
+    def test_a_drawn_counterexample_carries_replaying_claims(
+        self, monkeypatch, dt_sampled, prop, spec
+    ):
+        # without the stored witnesses and the exact arguments these cells
+        # fail by a draw
         monkeypatch.setattr(audit, "_DT_CANDIDATES", ())
         v = check_property(spec, prop, AuditBudget())
         assert (v.outcome, v.method) == (Outcome.FAILS, Method.SAMPLED)
         claims = v.witness["claims"]
         assert [c["expected"] for c in claims] == [True, False]
         assert replay_claims(spec.matrix, claims)
+
+
+# the deduction-theorem arguments are checked on the grid's matrices and on
+# five more, of two to four values
+DT_MATRICES = (L3, G3, K3, lukasiewicz(4), goedel(4), CL2, L3_HALF, L3_OR_AS_AND)
+_MAP = re.compile(r"h\(([^)]*)\) = \(([^)]*)\)")
+
+
+def _reported_maps(m, description):
+    """The maps a witness description names, as dicts over the values."""
+    maps = []
+    for values, images in _MAP.findall(description):
+        assert list(map(Fraction, values.split(", "))) == list(m.values)
+        maps.append(dict(zip(m.values, map(Fraction, images.split(", ")))))
+    return maps
+
+
+class TestDeductionArguments:
+    """The exact deduction-theorem arguments, against the sampler and the
+    tables."""
+
+    @pytest.mark.parametrize("para_depth", [0, 1])
+    @pytest.mark.parametrize("m", DT_MATRICES, ids=lambda m: m.name)
+    def test_no_exact_holds_where_a_draw_refutes_it(self, monkeypatch, m, para_depth):
+        spec = LogicSpec(m, para_depth)
+        decided = {prop: check_property(spec, prop, AuditBudget()) for prop in DT_ROWS}
+        assert all(v.method is not Method.SAMPLED for v in decided.values())
+        # a biconditional row fails wherever its forward row fails
+        for full, forward in audit._FORWARD_ROWS.items():
+            if decided[forward].outcome is Outcome.FAILS:
+                assert decided[full].outcome is Outcome.FAILS
+        undecided = Decision(Outcome.UNDECIDED, Method.EXACT)
+        monkeypatch.setattr(audit, "_dt_argument", lambda cell: undecided)
+        for prop, v in decided.items():
+            if (v.outcome, v.method) == (Outcome.HOLDS, Method.EXACT):
+                for seed in (0, 1):
+                    sampled = check_property(spec, prop, AuditBudget(seed=seed))
+                    assert sampled.outcome is Outcome.HOLDS, (prop.value, seed, sampled.witness)
+
+    @pytest.mark.parametrize("para_depth", [0, 1])
+    @pytest.mark.parametrize("m", DT_MATRICES, ids=lambda m: m.name)
+    def test_every_reported_endomorphism_is_one(self, m, para_depth):
+        spec, designated = LogicSpec(m, para_depth), m.designated
+        for prop in DT_ROWS:
+            v = check_property(spec, prop, SMALL)
+            if v.outcome is not Outcome.HOLDS:
+                continue
+            maps = _reported_maps(m, v.witness["description"])
+            assert maps, (prop.value, v.witness["description"])
+            for h in maps:
+                assert all(h[x] in designated for x in designated)
+                assert all(h[m.neg[x]] == m.neg[h[x]] for x in m.values)
+                for table in (m.or_, m.and_, m.imp):
+                    assert all(h[table[x, y]] == table[h[x], h[y]] for x, y in table)
+            # and between them they discharge every undesignated consequent
+            for x, y in m.imp:
+                c = m.imp[x, y]
+                if prop in audit._MODIFIED_ROWS:
+                    c = m.imp[x, c]
+                if c not in designated:
+                    assert any(h[x] in designated and h[y] not in designated for h in maps)
+
+    @pytest.mark.parametrize("para_depth", [0, 1])
+    def test_l4_modified_discharge_fails(self, para_depth):
+        # {p} yields beta, but not p -> (p -> beta): the forward half of the
+        # modified theorem fails, so the biconditional fails with it
+        spec = LogicSpec(lukasiewicz(4), para_depth)
+        fact = audit._dt_claims(
+            audit._Cell(spec, PropertyId.MODIFIED_WEAK_DT_FWD, SMALL),
+            True, FormulaSet(), parse("p"), parse("~(p -> (p -> ~p))"),
+        )
+        assert replay_claims(spec.matrix, fact)
+        v = check_property(spec, PropertyId.MODIFIED_WEAK_DT_FWD, AuditBudget())
+        assert (v.outcome, v.method, v.samples_run) == (Outcome.FAILS, Method.EXACT, 0)
+        assert [c["expected"] for c in v.witness["claims"]] == [True, False]
+        full = check_property(spec, PropertyId.MODIFIED_FULL_DT, AuditBudget())
+        assert full.outcome is Outcome.FAILS
+
+    def test_no_search_above_four_values(self, monkeypatch):
+        def searched(*args):
+            raise AssertionError("searched a five-valued matrix")
+
+        monkeypatch.setattr(audit, "_endomorphisms", searched)
+        monkeypatch.setattr(audit, "_one_letter_refutation", searched)
+        for para_depth in (0, 1):
+            spec = LogicSpec(goedel(5), para_depth)
+            v = check_property(spec, PropertyId.WEAK_DT_FWD, SMALL)
+            assert (v.outcome, v.method, v.samples_run) == (
+                Outcome.HOLDS, Method.SAMPLED, SMALL.samples,
+            )
+            assert v.notes.startswith(
+                "5^5 value maps exceed the search cap of 256, so no exact argument is tried; "
+            )
 
 
 @pytest.fixture(scope="module")
@@ -468,8 +574,10 @@ class TestRunTable:
         # the per-cell times say how the run went, not what it found
         assert "seconds" not in json.dumps(report.to_json())
 
-    def test_every_sampled_holds_notes_its_antecedents(self, report):
-        sampled = [v for v in report.verdicts.values() if v.method is Method.SAMPLED]
+    def test_every_sampled_holds_notes_its_antecedents(self, dt_sampled):
+        # the nine deduction-theorem cells that hold sample once their exact
+        # arguments are patched out
+        sampled = [v for v in run_table(SMALL).verdicts.values() if v.method is Method.SAMPLED]
         assert len(sampled) == 9
         for v in sampled:
             assert v.outcome is Outcome.HOLDS

@@ -131,11 +131,12 @@ class TestInterrupt:
         assert result.output == "error: interrupted\n"
 
     @pytest.mark.parametrize("to_group", [True, False], ids=["process-group", "parent-only"])
-    def test_sigint_mid_grid_exits_130(self, to_group):
-        # Ctrl-C reaches the whole process group; `kill -INT` only the audit.
+    def test_sigint_mid_query_exits_130(self, to_group):
+        # Ctrl-C reaches the whole process group; `kill -INT` only the query.
         # Either way: one line, and nothing left behind.
+        premises = ", ".join(f"p{i} | ~p{i}" for i in range(16))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "paramat", "audit", "--samples", "20000"],
+            [sys.executable, "-m", "paramat", "mss", "--logic", "l3", premises],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -143,10 +144,10 @@ class TestInterrupt:
             start_new_session=True,
         )
         try:
-            # the deduction-theorem cells still sample, so at 20000 samples
-            # the grid runs for tens of seconds; by now it is deciding cells
+            # the subset tables of 16 premises over 16 letters walk 3^16
+            # valuations, seconds of work; by now the query is running
             time.sleep(2.0)
-            assert proc.poll() is None, "the audit ended before the interrupt"
+            assert proc.poll() is None, "the query ended before the interrupt"
             if to_group:
                 os.killpg(proc.pid, signal.SIGINT)
             else:
@@ -159,7 +160,7 @@ class TestInterrupt:
         assert proc.returncode == 130
         assert (out, err) == ("", "error: interrupted\n")
         with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)  # nothing is left in the audit's process group
+            os.killpg(proc.pid, 0)  # nothing is left in the query's process group
 
 
 @pytest.mark.parametrize(
@@ -444,6 +445,13 @@ class TestAudit:
         assert len(slowest) == 5
         times = [float(re.fullmatch(r"  \w+/[\w()]+: ([\d.]+) s", line)[1]) for line in slowest]
         assert times == sorted(times, reverse=True)
+
+    def test_seed0_grid_draws_no_sample(self, runner):
+        result = runner.invoke(main, ["audit", "--format", "json", "--seed", "0"])
+        assert result.exit_code == 0
+        grid = json.loads(result.output)["grid"]
+        assert [cell for cell, v in grid.items() if v["method"] == "SAMPLED"] == []
+        assert all(v["samples_run"] == 0 for v in grid.values())
 
     def test_json_byte_identical(self, runner):
         args = ["audit", "--format", "json", "--samples", "25", "--seed", "3"]
