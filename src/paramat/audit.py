@@ -7,6 +7,11 @@ systems and their paraconsistent transforms, producing a 16x6 results grid.
 Each row is a checker in ``_CHECKERS``: given the ``_Cell`` to decide, it
 returns a ``Decision``, and ``check_property`` makes the ``Verdict`` after
 replaying every claim of its witness; a FAILS must carry at least one.
+A claim is replayed from its text alone: within one run (a ``run_table``, a
+``verify_witness_suite`` or a standalone ``check_property``) each distinct
+claim is recomputed from its text once per matrix, and each distinct text
+is parsed once (``_ReplayScope``); its expected answer is then compared at
+every replay.
 Rows that follow from the definition of matrix consequence (Łoś and
 Suszko 1958; Wójcicki 1988), in every matrix or given a two-letter check of
 its tables, are decided exactly by ``_lemma``, with that check as claims;
@@ -35,11 +40,13 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partial
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .formula import (
     And, Formula, FormulaSet, Imp, Letter, Neg, Or, draw_formula, parse, render,
@@ -241,23 +248,113 @@ def claim_consistent(para_depth: int, gamma: FormulaSet, expected: bool) -> dict
     }
 
 
-def replay_claim(m: Matrix, claim: dict) -> bool:
-    """Recompute a claim against the semantics and report whether it matches."""
-    kind = claim["kind"]
-    if "gamma" in claim:
-        gamma = FormulaSet(parse(s) for s in claim["gamma"])
-    if kind == "entails":
-        got = entails(m, gamma, parse(claim["alpha"])).holds
-    elif kind == "para_entails":
-        got = para_entails(m, gamma, parse(claim["alpha"])).holds
-    elif kind == "consistent":
-        got = is_consistent(m, gamma)
-    elif kind == "para_consistent":
-        got = is_para_consistent(m, gamma)
-    elif kind == "star_property":
-        got = has_star_property(m)
-    else:
+# the fields each claim kind names besides `kind` and `expected`
+_CLAIM_FIELDS = {
+    "entails": ("gamma", "alpha"),
+    "para_entails": ("gamma", "alpha"),
+    "consistent": ("gamma",),
+    "para_consistent": ("gamma",),
+    "star_property": (),
+}
+
+
+def _question(claim: dict) -> tuple[str, list[str] | None, str | None]:
+    """A claim's question, (kind, gamma texts, alpha text), without its
+    expected answer; a malformed claim raises a ValueError naming the field."""
+    kind = claim.get("kind")
+    fields = _CLAIM_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
         raise ValueError(f"unknown claim kind: {kind!r}")
+    if not isinstance(claim.get("expected"), bool):
+        raise ValueError(f"{kind} claim field 'expected' must be a bool")
+    if not fields:
+        return kind, None, None
+    gamma = claim.get("gamma")
+    if not isinstance(gamma, list):
+        raise ValueError(f"{kind} claim field 'gamma' must be a list of strings")
+    for text in gamma:  # a loop, not all(...): this runs on every replay
+        if not isinstance(text, str):
+            raise ValueError(f"{kind} claim field 'gamma' must be a list of strings")
+    if "alpha" not in fields:
+        return kind, gamma, None
+    alpha = claim.get("alpha")
+    if not isinstance(alpha, str):
+        raise ValueError(f"{kind} claim field 'alpha' must be a string")
+    return kind, gamma, alpha
+
+
+def _answer(
+    m: Matrix,
+    kind: str,
+    gamma: Sequence[str] | None,
+    alpha: str | None,
+    read: Callable[[str], Formula],
+) -> bool:
+    """The semantics' answer to a claim's question, its texts read by `read`."""
+    if kind == "star_property":
+        return has_star_property(m)
+    premises = FormulaSet(read(s) for s in gamma)
+    if kind == "consistent":
+        return is_consistent(m, premises)
+    if kind == "para_consistent":
+        return is_para_consistent(m, premises)
+    relation = entails if kind == "entails" else para_entails
+    return relation(m, premises, read(alpha)).holds
+
+
+class _ReplayScope:
+    """One run's replays: each distinct question is answered once per matrix
+    and each distinct text parsed once.  Only parsing and answering claim
+    text fills it.  Questions are keyed by the matrix's `id`, and the scope
+    holds every matrix it keys, so no id is reused while it is open."""
+
+    def __init__(self) -> None:
+        self.matrices: dict[int, Matrix] = {}
+        self.answers: dict[tuple, bool] = {}
+        self.formulas: dict[str, Formula] = {}
+        self.replayed = 0
+
+    def read(self, text: str) -> Formula:
+        formula = self.formulas.get(text)
+        if formula is None:
+            formula = self.formulas[text] = parse(text)
+        return formula
+
+    def answer(self, m: Matrix, kind: str, gamma: list[str] | None, alpha: str | None) -> bool:
+        self.replayed += 1
+        key = (id(m), kind, None if gamma is None else tuple(gamma), alpha)
+        got = self.answers.get(key)
+        if got is None:
+            got = _answer(m, kind, gamma, alpha, self.read)
+            self.matrices[id(m)] = m
+            self.answers[key] = got
+        return got
+
+
+_SCOPE: ContextVar[_ReplayScope | None] = ContextVar("replay_scope", default=None)
+
+
+@contextmanager
+def _replaying(scope: _ReplayScope) -> Iterator[_ReplayScope]:
+    """Answer every replay through `scope` until the block ends."""
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+
+
+def replay_claim(m: Matrix, claim: dict) -> bool:
+    """Recompute a claim from its text against the semantics and report
+    whether it matches.  Inside a replay scope (``run_table``,
+    ``verify_witness_suite``, ``check_property``) each distinct claim is
+    answered once per matrix; outside one, every call recomputes."""
+    kind, gamma, alpha = _question(claim)
+    scope = _SCOPE.get()
+    if scope is None:
+        got = _answer(m, kind, gamma, alpha, parse)
+    else:
+        got = scope.answer(m, kind, gamma, alpha)
     return got == claim["expected"]
 
 
@@ -976,16 +1073,18 @@ _CHECKERS: dict[PropertyId, Callable[[_Cell], Decision]] = {
 def check_property(spec: LogicSpec, prop: PropertyId, budget: AuditBudget) -> Verdict:
     """Verdict for one (logic, property) cell; the only place verdicts are
     made.  Every claim of a witness must replay, whatever the outcome, and a
-    FAILS must carry at least one claim."""
+    FAILS must carry at least one claim.  Outside a run's replay scope the
+    cell opens its own, so the checker's replays and the gate's share answers."""
     budget.validate()
-    decided = _CHECKERS[prop](_Cell(spec, prop, budget))
-    witness = decided.witness
-    unproven = decided.outcome is Outcome.FAILS and not (witness and witness["claims"])
-    if unproven or (witness is not None and not replay_witness(spec.matrix, witness)):
-        raise AssertionError(
-            f"{decided.outcome.value} verdict for {prop.value}/{spec.name} "
-            "lacks a replayable witness"
-        )
+    with _replaying(_SCOPE.get() or _ReplayScope()):
+        decided = _CHECKERS[prop](_Cell(spec, prop, budget))
+        witness = decided.witness
+        unproven = decided.outcome is Outcome.FAILS and not (witness and witness["claims"])
+        if unproven or (witness is not None and not replay_witness(spec.matrix, witness)):
+            raise AssertionError(
+                f"{decided.outcome.value} verdict for {prop.value}/{spec.name} "
+                "lacks a replayable witness"
+            )
     return Verdict(prop, spec.name, bounds=budget.bounds, **vars(decided))
 
 
@@ -995,8 +1094,10 @@ def check_property(spec: LogicSpec, prop: PropertyId, budget: AuditBudget) -> Ve
 
 @dataclass
 class AuditReport:
-    """The grid's verdicts and discrepancies; `seconds` (each cell's time)
-    and `wall_s` say how the run went and stay out of `to_json`."""
+    """The grid's verdicts and discrepancies.  `seconds` (each cell's time),
+    `wall_s`, `claims_replayed` and `claims_answered` (the distinct claims
+    among them, each recomputed once) say how the run went and stay out of
+    `to_json`."""
 
     budget: AuditBudget
     columns: tuple[str, ...]
@@ -1004,6 +1105,8 @@ class AuditReport:
     discrepancies: list[dict] = field(default_factory=list)
     seconds: dict[tuple[PropertyId, str], float] = field(default_factory=dict, compare=False)
     wall_s: float = field(default=0.0, compare=False)
+    claims_replayed: int = field(default=0, compare=False)
+    claims_answered: int = field(default=0, compare=False)
 
     def to_json(self) -> dict:
         grid = {
@@ -1053,30 +1156,33 @@ class AuditReport:
 
 def run_table(budget: AuditBudget | None = None) -> AuditReport:
     """Compute all 96 grid cells, in this process and in grid order, and
-    compare them to the published table."""
+    compare them to the published table.  The run has its own replay scope."""
     budget = budget or AuditBudget()
     budget.validate()
     report = AuditReport(budget, COLUMN_NAMES, {})
     columns = table_columns()
     started = time.perf_counter()
-    for prop in TABLE_ROWS:
-        for spec, col, expected in zip(columns, COLUMN_NAMES, PUBLISHED_TABLE[prop]):
-            cell_started = time.perf_counter()
-            verdict = check_property(spec, prop, budget)
-            report.seconds[(prop, col)] = time.perf_counter() - cell_started
-            report.verdicts[(prop, col)] = verdict
-            computed = {Outcome.HOLDS: True, Outcome.FAILS: False}.get(verdict.outcome)
-            if computed != expected:
-                report.discrepancies.append(
-                    {
-                        "cell": f"{prop.value}/{col}",
-                        "published": expected,
-                        "computed": computed,
-                        "evidence": verdict.witness,
-                        "known": (prop, col) in KNOWN_DISCREPANCIES,
-                    }
-                )
+    with _replaying(_ReplayScope()) as scope:
+        for prop in TABLE_ROWS:
+            for spec, col, expected in zip(columns, COLUMN_NAMES, PUBLISHED_TABLE[prop]):
+                cell_started = time.perf_counter()
+                verdict = check_property(spec, prop, budget)
+                report.seconds[(prop, col)] = time.perf_counter() - cell_started
+                report.verdicts[(prop, col)] = verdict
+                computed = {Outcome.HOLDS: True, Outcome.FAILS: False}.get(verdict.outcome)
+                if computed != expected:
+                    report.discrepancies.append(
+                        {
+                            "cell": f"{prop.value}/{col}",
+                            "published": expected,
+                            "computed": computed,
+                            "evidence": verdict.witness,
+                            "known": (prop, col) in KNOWN_DISCREPANCIES,
+                        }
+                    )
     report.wall_s = time.perf_counter() - started
+    report.claims_replayed = scope.replayed
+    report.claims_answered = len(scope.answers)
     return report
 
 
@@ -1111,11 +1217,13 @@ _SUITES = {name: partial(_grid_witnesses, name) for name in ("L3", "G3", "K3")}
 
 
 def verify_witness_suite(spec: LogicSpec) -> list[WitnessResult]:
-    """Replay every stored witness of the grid columns of the given system."""
+    """Replay every stored witness of the grid columns of the given system,
+    in one replay scope."""
     suite = _SUITES.get(spec.matrix.name)
     if suite is None:
         raise ValueError(f"no stored witness suite for {spec.matrix.name!r}")
-    return [
-        WitnessResult(description, replay_claims(spec.matrix, claims), claims)
-        for description, claims in suite()
-    ]
+    with _replaying(_ReplayScope()):
+        return [
+            WitnessResult(description, replay_claims(spec.matrix, claims), claims)
+            for description, claims in suite()
+        ]

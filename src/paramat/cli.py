@@ -327,10 +327,12 @@ def _with_budget(func):
 
 
 def _echo_stats(report) -> None:
-    """How the grid's time went, and its five slowest cells, on stderr."""
+    """How the grid's time went, the claims it replayed and the distinct ones
+    it answered, and its five slowest cells, on stderr."""
     click.echo(
         f"stats: {len(report.seconds)} cells in {report.wall_s:.2f} s wall, "
-        f"{sum(report.seconds.values()):.2f} s summed over cells",
+        f"{sum(report.seconds.values()):.2f} s summed over cells, "
+        f"{report.claims_replayed} claims replayed, {report.claims_answered} answered",
         err=True,
     )
     slowest = sorted(report.seconds.items(), key=lambda item: item[1], reverse=True)

@@ -157,6 +157,21 @@ class TestReplay:
             with pytest.raises(ValueError, match="unknown claim kind"):
                 replay_claim(L3, {"kind": kind, "gamma": ["p"], "alpha": "p", "expected": True})
 
+    @pytest.mark.parametrize(
+        "claim, field",
+        [
+            ({"kind": "entails", "alpha": "p", "expected": True}, "gamma"),
+            ({"kind": "para_entails", "gamma": ["p"], "expected": True}, "alpha"),
+            ({"kind": "consistent", "gamma": ["p"]}, "expected"),
+            ({"kind": "entails", "gamma": "p, q", "alpha": "p", "expected": True}, "gamma"),
+            ({"kind": "star_property", "expected": "yes"}, "expected"),
+        ],
+        ids=["no-gamma", "no-alpha", "no-expected", "gamma-string", "expected-string"],
+    )
+    def test_malformed_claim_names_its_field(self, claim, field):
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            replay_claim(L3, claim)
+
 
 class TestColumns:
     def test_order_and_names(self):
@@ -571,8 +586,10 @@ class TestRunTable:
         assert set(report.seconds) == set(report.verdicts)
         assert all(s > 0 for s in report.seconds.values())
         assert report.wall_s > 0
-        # the per-cell times say how the run went, not what it found
-        assert "seconds" not in json.dumps(report.to_json())
+        # the per-cell times and claim counts say how the run went, not what it found
+        assert 0 < report.claims_answered < report.claims_replayed
+        text = json.dumps(report.to_json())
+        assert "seconds" not in text and "claims_" not in text
 
     def test_every_sampled_holds_notes_its_antecedents(self, dt_sampled):
         # the nine deduction-theorem cells that hold sample once their exact
@@ -612,6 +629,95 @@ class TestRunTable:
         assert any("explosive" in line for line in lines)
         assert "✓" in text and "×" in text
         assert "Discrepancies:" in text
+
+
+def _counting_answers(monkeypatch) -> dict:
+    """Count how often each (matrix, question) reaches the semantics."""
+    calls: dict = {}
+    answer = audit._answer
+
+    def counting(m, kind, gamma, alpha, read):
+        key = (id(m), kind, None if gamma is None else tuple(gamma), alpha)
+        calls[key] = calls.get(key, 0) + 1
+        return answer(m, kind, gamma, alpha, read)
+
+    monkeypatch.setattr(audit, "_answer", counting)
+    return calls
+
+
+class TestReplayScope:
+    def test_a_scope_answers_as_plain_replay(self):
+        # every claim of the seed-0 grid, with either expected value
+        grid = json.loads(GOLDEN_AUDIT.read_text(encoding="utf-8"))["grid"]
+        matrices = {spec.name: spec.matrix for spec in table_columns()}
+        claims = [
+            (matrices[v["logic"]], {**claim, "expected": expected})
+            for v in grid.values()
+            for claim in (v["witness"] or {}).get("claims", ())
+            for expected in (True, False)
+        ]
+        assert claims
+        plain = [replay_claim(m, claim) for m, claim in claims]
+        with audit._replaying(audit._ReplayScope()):
+            scoped = [replay_claim(m, claim) for m, claim in claims]
+        assert scoped == plain
+        assert plain.count(True) == len(claims) // 2
+
+    def test_run_table_answers_each_distinct_claim_once(self, monkeypatch):
+        calls = _counting_answers(monkeypatch)
+        report = run_table(AuditBudget())
+        assert calls and set(calls.values()) == {1}
+        assert report.claims_answered == len(calls)
+        assert report.claims_answered < report.claims_replayed
+
+    def test_a_standalone_cell_answers_each_claim_once(self, monkeypatch):
+        # the stored witness's replay and the gate's replay share answers
+        calls = _counting_answers(monkeypatch)
+        v = check_property(LogicSpec(L3, 1), PropertyId.EXPLOSIVE, AuditBudget())
+        assert v.outcome is Outcome.FAILS
+        assert calls and set(calls.values()) == {1}
+        assert audit._SCOPE.get() is None
+
+    def test_outside_a_scope_every_replay_recomputes(self, monkeypatch):
+        calls = _counting_answers(monkeypatch)
+        claim = {"kind": "entails", "gamma": ["p"], "alpha": "p", "expected": True}
+        assert replay_claims(L3, [claim, claim])
+        assert list(calls.values()) == [2]
+
+    def test_no_scope_is_left_open(self, monkeypatch):
+        run_table(SMALL)
+        assert audit._SCOPE.get() is None
+        decide = audit.check_property
+        scopes = []
+
+        def broken(spec, prop, budget):
+            scopes.append(audit._SCOPE.get())
+            if (prop, spec.name) == (PropertyId.IDEMPOTENCY, "P(G3)"):
+                raise ZeroDivisionError("cell broke")
+            return decide(spec, prop, budget)
+
+        monkeypatch.setattr(audit, "check_property", broken)
+        with pytest.raises(ZeroDivisionError, match="cell broke"):
+            run_table(SMALL)
+        assert scopes[0] is not None
+        assert audit._SCOPE.get() is None
+
+    def test_two_runs_share_nothing(self, monkeypatch):
+        decide = audit.check_property
+        scopes = []
+
+        def recording(spec, prop, budget):
+            scopes.append(audit._SCOPE.get())
+            return decide(spec, prop, budget)
+
+        monkeypatch.setattr(audit, "check_property", recording)
+        first = run_table(SMALL)
+        calls = _counting_answers(monkeypatch)
+        second = run_table(SMALL)
+        assert len({id(scope) for scope in scopes}) == 2
+        # the second run recomputes every claim it answers
+        assert sum(calls.values()) == second.claims_answered == first.claims_answered
+        assert second.claims_replayed == first.claims_replayed
 
 
 class TestWitnessSuites:

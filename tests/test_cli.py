@@ -441,7 +441,12 @@ class TestAudit:
         assert result.exit_code == 0
         assert result.stdout == GOLDEN_AUDIT.read_text(encoding="utf-8")
         head, *slowest = result.stderr.splitlines()
-        assert re.fullmatch(r"stats: 96 cells in [\d.]+ s wall, [\d.]+ s summed over cells", head)
+        counts = re.fullmatch(
+            r"stats: 96 cells in [\d.]+ s wall, [\d.]+ s summed over cells, "
+            r"(\d+) claims replayed, (\d+) answered",
+            head,
+        )
+        assert 0 < int(counts[2]) < int(counts[1])
         assert len(slowest) == 5
         times = [float(re.fullmatch(r"  \w+/[\w()]+: ([\d.]+) s", line)[1]) for line in slowest]
         assert times == sorted(times, reverse=True)
