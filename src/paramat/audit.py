@@ -23,22 +23,20 @@ when they do not.  The deduction-theorem rows try their stored witnesses,
 then exact arguments on the tables (``_dt_argument``): the base converse by
 one detachment claim, premise discharge by endomorphisms of the algebra
 that keep the designated values designated, lifted to the transforms by one
-claim, or refuted by two one-letter terms.  The searches run up to four
-values (``_SEARCH_CAP``); what they leave undecided is sampled
-(``_sampled``), a draw decided from the value masks of its formulas
-(``_dt_relations``).  Base joint consistency draws candidate formulas.
-Every cell is compared against the expected published value and mismatches
-are listed with their evidence instead of being silently corrected.
+claim, or refuted by two one-letter terms.  Base joint consistency tries
+x = p, then the one-letter terms (``_one_letter_terms``).  The searches run
+up to four values (``_SEARCH_CAP``); what they leave undecided is UNDECIDED,
+with the reason in its notes.  Every cell is compared against the expected
+published value and mismatches are listed with their evidence instead of
+being silently corrected.
 
 ``run_table`` decides the 96 cells one after another in the calling
-process, and none of them samples.  The stored witness suites
-(``verify_witness_suite``) replay the claims of the grid's own witnesses for
-L3, G3 and K3 and their transforms.
+process.  The stored witness suites (``verify_witness_suite``) replay the
+claims of the grid's own witnesses for L3, G3 and K3 and their transforms.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -48,14 +46,10 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
-from .formula import (
-    And, Formula, FormulaSet, Imp, Letter, Neg, Or, draw_formula, parse, render,
-)
+from .formula import And, Formula, FormulaSet, Imp, Letter, Neg, Or, parse, render
 from .matrix import Matrix, builtin, format_value, has_star_property
-from .para import LogicSpec, _subset_tables, is_para_consistent, para_entails
-from .semantics import (
-    _binary_masks, _blocks, _designated, _masks, entails, is_consistent,
-)
+from .para import LogicSpec, is_para_consistent, para_entails
+from .semantics import entails, is_consistent
 
 
 class PropertyId(Enum):
@@ -108,31 +102,14 @@ class Outcome(Enum):
 class Method(Enum):
     EXACT = "EXACT"
     WITNESS = "WITNESS"
-    SAMPLED = "SAMPLED"
     BOUNDED = "BOUNDED"
-
-
-# the letters sampled formulas are drawn over; `AuditBudget.letters` takes a prefix
-LETTER_POOL = ("p", "q", "r", "s", "t")
 
 
 @dataclass(frozen=True)
 class AuditBudget:
-    samples: int = 500
-    depth: int = 3
-    letters: int = 3
-    gamma_size: int = 5
+    """The run's settings, reported in its JSON; no verdict depends on them."""
+
     seed: int = 0
-
-    def validate(self) -> None:
-        if min(self.samples, self.depth, self.letters, self.gamma_size) <= 0:
-            raise ValueError("budget components must be positive")
-        if self.letters > len(LETTER_POOL):
-            raise ValueError(f"letters must be at most {len(LETTER_POOL)}")
-
-    @property
-    def bounds(self) -> tuple[int, int, int]:
-        return (self.depth, self.letters, self.gamma_size)
 
 
 @dataclass
@@ -142,8 +119,6 @@ class Verdict:
     outcome: Outcome
     method: Method
     witness: dict | None
-    samples_run: int
-    bounds: tuple[int, int, int]
     notes: str = ""
 
     def to_json(self) -> dict:
@@ -153,23 +128,17 @@ class Verdict:
             "outcome": self.outcome.value,
             "method": self.method.value,
             "witness": self.witness,
-            "samples_run": self.samples_run,
-            "bounds": list(self.bounds),
             "notes": self.notes,
         }
 
 
 @dataclass
 class Decision:
-    """A checker's verdict; ``check_property`` adds property, logic and bounds.
-
-    `samples_run` counts the random draws the checker made before it stopped.
-    """
+    """A checker's verdict; ``check_property`` adds property and logic."""
 
     outcome: Outcome
     method: Method
     witness: dict | None = None
-    samples_run: int = 0
     notes: str = ""
 
 
@@ -367,7 +336,7 @@ def replay_witness(m: Matrix, witness: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The checker form: stored witnesses and the sampling loop
+# The checker form: stored witnesses and lemmas
 
 P, Q = Letter("p"), Letter("q")
 NOT_SELF_IMP = parse("~(p -> p)")  # unsatisfiable wherever 1 is the sole designated value
@@ -376,11 +345,10 @@ P_AND_NOT_P = parse("p & ~p")
 
 @dataclass(frozen=True)
 class _Cell:
-    """One grid cell under audit: a column logic, a row and the budget."""
+    """One grid cell under audit: a column logic and a row."""
 
     spec: LogicSpec
     prop: PropertyId
-    budget: AuditBudget
 
     def rel(self, gamma: FormulaSet, alpha: Formula) -> bool:
         """The column's consequence relation."""
@@ -395,21 +363,6 @@ class _Cell:
     def yields_but_not_q(self, gamma: FormulaSet, held: Sequence[Formula]) -> list[dict]:
         """Claims that `gamma` yields each formula of `held`, but not q."""
         return [*(self.claim(gamma, f, True) for f in held), self.claim(gamma, Q, False)]
-
-    def stream(self) -> random.Random:
-        """The cell's seeded random stream."""
-        return random.Random(f"{self.budget.seed}|{self.prop.value}|{self.spec.name}")
-
-    def letters(self) -> list[str]:
-        """The letters that sampled formulas are drawn over."""
-        return list(LETTER_POOL[: self.budget.letters])
-
-
-def _sample_set(
-    rng: random.Random, names: list[str], depth: int, max_size: int
-) -> FormulaSet:
-    size = rng.randint(0, max_size)
-    return FormulaSet(draw_formula(rng, names, depth) for _ in range(size))
 
 
 def _stored_witness(cell: _Cell, probes: Sequence[tuple[str, list[dict]]]) -> Decision:
@@ -431,32 +384,6 @@ def _lemma(description: str, claims: Sequence[dict] = ()) -> Decision:
     facts about this matrix that the argument rests on."""
     witness = {"description": description, "claims": list(claims)}
     return Decision(Outcome.HOLDS, Method.EXACT, witness)
-
-
-def _sampled(
-    cell: _Cell,
-    description: str,
-    draw: Callable[[random.Random, list[str]], list[dict] | None],
-) -> Decision:
-    """The row's `draw` step once per sample on the cell's seeded stream.
-
-    `draw` returns None when the sample's antecedent does not hold, [] when
-    the sample agrees with the property, or a counterexample's claims, which
-    decide FAILS.  A HOLDS notes how many samples had the antecedent.
-    """
-    rng = cell.stream()
-    names = cell.letters()
-    hits = 0
-    for drawn in range(1, cell.budget.samples + 1):
-        claims = draw(rng, names)
-        if claims is None:
-            continue
-        hits += 1
-        if claims:
-            witness = {"description": description, "claims": claims}
-            return Decision(Outcome.FAILS, Method.SAMPLED, witness, drawn)
-    notes = f"{hits} samples had the antecedent"
-    return Decision(Outcome.HOLDS, Method.SAMPLED, None, cell.budget.samples, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -522,24 +449,39 @@ def _check_joint_consistency(cell: _Cell) -> Decision:
             "transformed consequences of every finite set; no set is "
             "inconsistent and the required {x, ~x} cannot exist",
         )
-    rng, names, samples = cell.stream(), cell.letters(), cell.budget.samples
-    # x = p first, then up to `samples` drawn candidates
-    for drawn in range(samples + 1):
-        x = draw_formula(rng, names, cell.budget.depth) if drawn else P
-        claims = [
-            claim_consistent(0, FormulaSet([x]), True),
-            claim_consistent(0, FormulaSet([Neg(x)]), True),
-            claim_consistent(0, FormulaSet([x, Neg(x)]), False),
-        ]
-        if replay_claims(cell.spec.matrix, claims):
-            witness = {"description": f"witness x = {render(x)}", "claims": claims}
-            return Decision(Outcome.HOLDS, Method.WITNESS, witness, drawn)
-    return Decision(
-        Outcome.UNDECIDED,
-        Method.BOUNDED,
-        samples_run=samples,
-        notes="no witness x among p and the drawn formulas",
-    )
+    m, x = cell.spec.matrix, P
+    if not replay_claims(m, _joint_claims(P)):
+        # then the one-letter terms, each decided by its values over p = 0..n-1
+        n, d, neg = len(m.values), set(m.designated_ix), m.neg_ix
+        terms = _one_letter_terms(m) if n**n <= _SEARCH_CAP else {}
+        x = next(
+            (
+                f
+                for u, f in terms.items()
+                if not d.isdisjoint(u)
+                and any(neg[a] in d for a in u)
+                and not any(a in d and neg[a] in d for a in u)
+            ),
+            None,
+        )
+    if x is None:
+        return Decision(
+            Outcome.UNDECIDED,
+            Method.BOUNDED,
+            notes="no witness x among p and the one-letter terms, which are searched "
+            "up to four values; formulas in more letters are not searched",
+        )
+    witness = {"description": f"witness x = {render(x)}", "claims": _joint_claims(x)}
+    return Decision(Outcome.HOLDS, Method.WITNESS, witness)
+
+
+def _joint_claims(x: Formula) -> list[dict]:
+    """Claims that {x} and {~x} are consistent and {x, ~x} is not."""
+    return [
+        claim_consistent(0, FormulaSet([x]), True),
+        claim_consistent(0, FormulaSet([Neg(x)]), True),
+        claim_consistent(0, FormulaSet([x, Neg(x)]), False),
+    ]
 
 
 def _check_inconsistent_sets(cell: _Cell) -> Decision:
@@ -744,69 +686,6 @@ _DT_CANDIDATES = (
 )
 
 
-def _draw_dt_instance(
-    rng: random.Random, names: list[str], budget: AuditBudget
-) -> tuple[FormulaSet, Formula, Formula]:
-    """One sampled deduction-theorem instance (gamma, alpha, beta)."""
-    gamma = _sample_set(rng, names, budget.depth, budget.gamma_size - 1)
-    alpha = draw_formula(rng, names, budget.depth - 1)
-    roll = rng.random()
-    if roll < 0.4 and gamma:
-        beta: Formula = rng.choice(list(gamma))
-    elif roll < 0.7:
-        beta = And(alpha, draw_formula(rng, names, 1))
-    else:
-        beta = draw_formula(rng, names, budget.depth - 1)
-    return gamma, alpha, beta
-
-
-def _dt_relations(
-    cell: _Cell, gamma: FormulaSet, alpha: Formula, beta: Formula, modified: bool
-) -> tuple[bool, bool]:
-    """Whether gamma with alpha yields beta, and whether gamma yields the
-    consequent alpha -> beta (alpha -> (alpha -> beta) when `modified`), in
-    the column's relation, as `cell.rel` decides them.
-
-    Each formula is evaluated once over all the cell's letters (letters
-    outside a query's formulas do not change its verdict), and the
-    consequent's value masks are read off the implication table, so no
-    formula or set is built.
-    """
-    m = cell.spec.matrix
-
-    def blocks():
-        # per block: designated masks of gamma's members, alpha, beta and
-        # the consequent, and the all-ones mask
-        for _, letter_masks, memo, full in _blocks(m, cell.letters()):
-            a = _masks(m, alpha, letter_masks, memo)
-            b = _masks(m, beta, letter_masks, memo)
-            consequent = _binary_masks(m.imp_ix, a, b)
-            if modified:
-                consequent = _binary_masks(m.imp_ix, a, consequent)
-            members = [_designated(m, _masks(m, g, letter_masks, memo)) for g in gamma]
-            designated = (_designated(m, x) for x in (a, b, consequent))
-            yield members, *designated, full
-
-    if cell.spec.para_depth:
-        # alpha is the last member of gamma with alpha, unless gamma holds it
-        # already, so the subsets of gamma are the lower half of each table
-        n, with_alpha = len(gamma), alpha not in gamma
-        tables = (
-            (members + [a] if with_alpha else members, [b, consequent], full)
-            for members, a, b, consequent, full in blocks()
-        )
-        _, (to_beta, to_consequent) = _subset_tables(tables, n + with_alpha, 2)
-        return to_beta != 0, to_consequent & ((1 << (1 << n)) - 1) != 0
-    extended = discharged = True
-    for members, a, b, consequent, full in blocks():
-        models = full
-        for mask in members:
-            models &= mask
-        extended = extended and not models & a & ~b
-        discharged = discharged and not models & ~consequent
-    return extended, discharged
-
-
 _MODIFIED_ROWS = (PropertyId.MODIFIED_FULL_DT, PropertyId.MODIFIED_WEAK_DT_FWD)
 # each biconditional row and the row of its forward direction
 _FORWARD_ROWS = {
@@ -814,9 +693,9 @@ _FORWARD_ROWS = {
     PropertyId.MODIFIED_FULL_DT: PropertyId.MODIFIED_WEAK_DT_FWD,
 }
 
-# The exact deduction-theorem arguments search the maps V -> V and the
-# one-letter term functions, vectors in V^V: at most |V|^|V| of each, so they
-# run only while that is at most this, up to four values.
+# The exact deduction-theorem arguments and base joint consistency search the
+# maps V -> V and the one-letter term functions, vectors in V^V: at most
+# |V|^|V| of each, so they run only while that is at most this, up to four values.
 _SEARCH_CAP = 256
 
 
@@ -876,14 +755,8 @@ def _discharging_maps(m: Matrix, d: set[int], c: list[list[int]]) -> list[tuple[
     return [h for h in maps if h in used]
 
 
-def _one_letter_refutation(
-    m: Matrix, d: set[int], c: list[list[int]]
-) -> tuple[Formula, Formula] | None:
-    """Formulas s, t in p, s satisfiable, such that {s} yields t but c(s, t)
-    is not designated everywhere: a counterexample to premise discharge, also
-    under the transform, where the consistent {s} yields what s yields.
-
-    The functions of p that formulas define are closed from p level by level,
+def _one_letter_terms(m: Matrix) -> dict[tuple[int, ...], Formula]:
+    """The functions of p that formulas define, closed from p level by level,
     as value vectors over p = 0..n-1, each with a formula of least depth."""
     terms: dict[tuple[int, ...], Formula] = {tuple(range(len(m.values))): P}
     level = dict(terms)
@@ -898,6 +771,16 @@ def _one_letter_refutation(
                     made.setdefault(tuple(t[b][a] for a, b in zip(u, w)), (op, g, f))
         level = {v: op(*args) for v, (op, *args) in made.items() if v not in terms}
         terms.update(level)
+    return terms
+
+
+def _one_letter_refutation(
+    m: Matrix, d: set[int], c: list[list[int]]
+) -> tuple[Formula, Formula] | None:
+    """Formulas s, t in p, s satisfiable, such that {s} yields t but c(s, t)
+    is not designated everywhere: a counterexample to premise discharge, also
+    under the transform, where the consistent {s} yields what s yields."""
+    terms = _one_letter_terms(m)
     for s, alpha in terms.items():
         if d.isdisjoint(s):
             continue
@@ -943,13 +826,14 @@ def _dt_argument(cell: _Cell) -> Decision:
 
     A biconditional row takes its converse from `_dt_converse` and its
     forward direction from its "(=>)" row's decision, so it never holds
-    where that row fails.  Forward, base column: by `_discharging_maps`.
-    Forward, transform: when the base logic discharges premises and {q}
-    yields c(p, q), a consistent subset of gamma with alpha that yields beta
-    either leaves alpha out, and yields c(alpha, beta) through beta, or is a
-    consistent subset of gamma with alpha added, where the base discharge
-    applies.  Where no maps discharge premises, two one-letter terms may
-    refute it in either column (`_one_letter_refutation`).
+    where that row fails, and is UNDECIDED where either half is.  Forward,
+    base column: by `_discharging_maps`.  Forward, transform: when the base
+    logic discharges premises and {q} yields c(p, q), a consistent subset of
+    gamma with alpha that yields beta either leaves alpha out, and yields
+    c(alpha, beta) through beta, or is a consistent subset of gamma with
+    alpha added, where the base discharge applies.  Where no maps discharge
+    premises, two one-letter terms may refute it in either column
+    (`_one_letter_refutation`).
     """
     m, para = cell.spec.matrix, cell.spec.para_depth
     forward_row = _FORWARD_ROWS.get(cell.prop)
@@ -960,8 +844,9 @@ def _dt_argument(cell: _Cell) -> Decision:
         forward = _check_deduction(replace(cell, prop=forward_row))
         if forward.outcome is Outcome.FAILS:
             return forward
-        if converse.outcome is Outcome.UNDECIDED:
-            return converse
+        undecided = [h.notes for h in (converse, forward) if h.outcome is Outcome.UNDECIDED]
+        if undecided:
+            return _undecided("; ".join(undecided))
         parts = [w for w in (converse.witness, forward.witness) if w]
         witness = {
             "description": "; ".join(w["description"] for w in parts),
@@ -1013,13 +898,9 @@ def _check_deduction(cell: _Cell) -> Decision:
 
     The "full" variants are biconditionals; the "(=>)" variants only assert
     the forward direction (premise discharge).  Stored counterexample
-    candidates are tried first so failures are deterministic, then the exact
-    arguments of `_dt_argument`; only what they leave undecided is sampled.
+    candidates are tried first, then the exact arguments of `_dt_argument`.
     """
-    budget = cell.budget
-    biconditional = cell.prop in _FORWARD_ROWS
-    modified = cell.prop in _MODIFIED_ROWS
-    directions = (True, False) if biconditional else (True,)
+    directions = (True, False) if cell.prop in _FORWARD_ROWS else (True,)
     probes = [
         (
             f"premise discharge fails: alpha = {render(alpha)}, beta = {render(beta)}"
@@ -1030,24 +911,8 @@ def _check_deduction(cell: _Cell) -> Decision:
         for forward, alpha, beta in _DT_CANDIDATES
         if forward in directions
     ]
-
-    def draw(rng: random.Random, names: list[str]) -> list[dict] | None:
-        gamma, alpha, beta = _draw_dt_instance(rng, names, budget)
-        extended, discharged = _dt_relations(cell, gamma, alpha, beta, modified)
-        if extended and not discharged:
-            return _dt_claims(cell, True, gamma, alpha, beta)
-        if biconditional and discharged and not extended:
-            return _dt_claims(cell, False, gamma, alpha, beta)
-        return [] if extended or (biconditional and discharged) else None
-
     found = _stored_witness(cell, probes)
-    if found.outcome is Outcome.FAILS:
-        return found
-    argued = _dt_argument(cell)
-    if argued.outcome is not Outcome.UNDECIDED:
-        return argued
-    sampled = _sampled(cell, "sampled counterexample", draw)
-    return replace(sampled, notes="; ".join(filter(None, (argued.notes, sampled.notes))))
+    return found if found.outcome is Outcome.FAILS else _dt_argument(cell)
 
 
 _CHECKERS: dict[PropertyId, Callable[[_Cell], Decision]] = {
@@ -1070,14 +935,13 @@ _CHECKERS: dict[PropertyId, Callable[[_Cell], Decision]] = {
 }
 
 
-def check_property(spec: LogicSpec, prop: PropertyId, budget: AuditBudget) -> Verdict:
+def check_property(spec: LogicSpec, prop: PropertyId) -> Verdict:
     """Verdict for one (logic, property) cell; the only place verdicts are
     made.  Every claim of a witness must replay, whatever the outcome, and a
     FAILS must carry at least one claim.  Outside a run's replay scope the
     cell opens its own, so the checker's replays and the gate's share answers."""
-    budget.validate()
     with _replaying(_SCOPE.get() or _ReplayScope()):
-        decided = _CHECKERS[prop](_Cell(spec, prop, budget))
+        decided = _CHECKERS[prop](_Cell(spec, prop))
         witness = decided.witness
         unproven = decided.outcome is Outcome.FAILS and not (witness and witness["claims"])
         if unproven or (witness is not None and not replay_witness(spec.matrix, witness)):
@@ -1085,7 +949,7 @@ def check_property(spec: LogicSpec, prop: PropertyId, budget: AuditBudget) -> Ve
                 f"{decided.outcome.value} verdict for {prop.value}/{spec.name} "
                 "lacks a replayable witness"
             )
-    return Verdict(prop, spec.name, bounds=budget.bounds, **vars(decided))
+    return Verdict(prop, spec.name, **vars(decided))
 
 
 # ---------------------------------------------------------------------------
@@ -1156,17 +1020,16 @@ class AuditReport:
 
 def run_table(budget: AuditBudget | None = None) -> AuditReport:
     """Compute all 96 grid cells, in this process and in grid order, and
-    compare them to the published table.  The run has its own replay scope."""
-    budget = budget or AuditBudget()
-    budget.validate()
-    report = AuditReport(budget, COLUMN_NAMES, {})
+    compare them to the published table.  The run has its own replay scope;
+    `budget` is only reported."""
+    report = AuditReport(budget or AuditBudget(), COLUMN_NAMES, {})
     columns = table_columns()
     started = time.perf_counter()
     with _replaying(_ReplayScope()) as scope:
         for prop in TABLE_ROWS:
             for spec, col, expected in zip(columns, COLUMN_NAMES, PUBLISHED_TABLE[prop]):
                 cell_started = time.perf_counter()
-                verdict = check_property(spec, prop, budget)
+                verdict = check_property(spec, prop)
                 report.seconds[(prop, col)] = time.perf_counter() - cell_started
                 report.verdicts[(prop, col)] = verdict
                 computed = {Outcome.HOLDS: True, Outcome.FAILS: False}.get(verdict.outcome)
@@ -1199,14 +1062,13 @@ class WitnessResult:
 
 def _grid_witnesses(name: str) -> list[tuple[str, list[dict]]]:
     """The (description, claims) pair of every witness with claims in the
-    grid columns of the matrix `name` and its transform.  No grid witness comes
-    from a draw, so one sample per cell finds them all."""
+    grid columns of the matrix `name` and its transform."""
     pairs = []
     for spec in table_columns():
         if spec.matrix.name != name:
             continue
         for prop in TABLE_ROWS:
-            witness = check_property(spec, prop, AuditBudget(samples=1)).witness
+            witness = check_property(spec, prop).witness
             if witness and witness["claims"]:
                 description = f"{prop.value}/{spec.name}: {witness['description']}"
                 pairs.append((description, witness["claims"]))

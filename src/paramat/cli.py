@@ -300,30 +300,13 @@ def cmd_mss(logic, fmt, matrix_path, gamma) -> None:
         click.echo("; ".join(str(s) for s in subsets))
 
 
-def _budget_or_exit(samples, depth, letters, gamma_size, seed) -> AuditBudget:
-    budget = AuditBudget(
-        samples=samples, depth=depth, letters=letters, gamma_size=gamma_size, seed=seed
-    )
-    try:
-        budget.validate()
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-    return budget
-
-
-_budget_options = [
-    click.option("--samples", type=int, default=500, show_default=True),
-    click.option("--depth", type=int, default=3, show_default=True),
-    click.option("--letters", type=int, default=3, show_default=True),
-    click.option("--gamma-size", type=int, default=5, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-]
-
-
-def _with_budget(func):
-    for option in reversed(_budget_options):
-        func = option(func)
-    return func
+_seed_option = click.option(
+    "--seed",
+    type=int,
+    default=0,
+    show_default=True,
+    help="Reported in the JSON budget record; the grid does not depend on it.",
+)
 
 
 def _echo_stats(report) -> None:
@@ -340,11 +323,8 @@ def _echo_stats(report) -> None:
         click.echo(f"  {prop.value}/{col}: {seconds:.3f} s", err=True)
 
 
-def _run_audit(
-    fmt, samples, depth, letters, gamma_size, seed, text_grid: bool, stats: bool = False
-) -> None:
-    budget = _budget_or_exit(samples, depth, letters, gamma_size, seed)
-    report = run_table(budget)
+def _run_audit(fmt, seed, text_grid: bool, stats: bool = False) -> None:
+    report = run_table(AuditBudget(seed))
     if fmt == "json":
         _emit_json(report.to_json())
     elif text_grid:
@@ -367,23 +347,23 @@ def _run_audit(
 
 @main.command("audit")
 @_format_option
-@_with_budget
+@_seed_option
 @click.option(
     "--stats",
     is_flag=True,
     help="Print the grid's times and its five slowest cells to stderr.",
 )
-def cmd_audit(fmt, samples, depth, letters, gamma_size, seed, stats) -> None:
+def cmd_audit(fmt, seed, stats) -> None:
     """Audit all 16 properties across the six logics; list discrepancies."""
-    _run_audit(fmt, samples, depth, letters, gamma_size, seed, text_grid=False, stats=stats)
+    _run_audit(fmt, seed, text_grid=False, stats=stats)
 
 
 @main.command("table")
 @_format_option
-@_with_budget
-def cmd_table(fmt, samples, depth, letters, gamma_size, seed) -> None:
+@_seed_option
+def cmd_table(fmt, seed) -> None:
     """Print the 16x6 results grid."""
-    _run_audit(fmt, samples, depth, letters, gamma_size, seed, text_grid=True)
+    _run_audit(fmt, seed, text_grid=True)
 
 
 @main.group("matrix")

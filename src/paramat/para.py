@@ -13,11 +13,10 @@ are set bits of a table that `str.find` locates in its binary string.  The
 witness of `para_entails`, the first entailing subset in canonical order, is
 narrowed out of its table with the tables of each size and of each member.
 
-The tables are folded by `_subset_tables` from the engine's blocks of at most
-2^12 valuations, one block at a time, so memory is O(2^n + block) whatever the
-number of letters; time still grows with the number of valuations.  The fold
-takes designated masks, not formulas, so the auditor feeds it masks it
-computed itself.  n is at most the fixed DEFAULT_SUBSET_BOUND.
+The tables are folded by `_tables` from the engine's blocks of at most 2^12
+valuations, one block at a time, so memory is O(2^n + block) whatever the
+number of letters; time still grows with the number of valuations.  n is at
+most the fixed DEFAULT_SUBSET_BOUND.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .formula import Formula, FormulaSet, Letter
 from .matrix import Matrix
@@ -109,24 +108,26 @@ def _up(table: int, n: int) -> int:
     return table
 
 
-def _subset_tables(
-    blocks: Iterable[tuple[Sequence[int], Sequence[int], int]], n: int, targets: int
+def _tables(
+    m: Matrix, gamma: FormulaSet, targets: Sequence[Formula] = ()
 ) -> tuple[int, list[int]]:
-    """The consistent table of n members and the entailing table of each of
-    `targets` targets, folded from blocks of valuations.
+    """The consistent table of `gamma` and the entailing table of each target.
 
-    Each block gives the designated masks of the members and of the targets,
-    and its all-ones mask.  Its membership sets go into the consistent table,
-    and into a target's refuted table where a valuation of theirs refutes the
-    target; both are down-closed at the end.
+    Built one block of valuations at a time: each block's membership sets go
+    into the consistent table, and into a target's refuted table where a
+    valuation of theirs refutes the target; both are down-closed at the end.
     """
+    n = len(gamma)
     if n > DEFAULT_SUBSET_BOUND:
         raise SubsetBoundError(
             f"premise set of size {n} exceeds the bound {DEFAULT_SUBSET_BOUND}"
         )
+    domain = gamma.letters().union(*[t.letters for t in targets])
     consistent = 0
-    refuted = [0] * targets
-    for member_masks, target_masks, full in blocks:
+    refuted = [0] * len(targets)
+    for _, letter_masks, memo, full in _blocks(m, domain):
+        member_masks = [_designated(m, _masks(m, g, letter_masks, memo)) for g in gamma]
+        target_masks = [_designated(m, _masks(m, t, letter_masks, memo)) for t in targets]
         for members, vals in _membership_sets(member_masks, full):
             consistent |= 1 << members
             for i, mask in enumerate(target_masks):
@@ -134,23 +135,6 @@ def _subset_tables(
                     refuted[i] |= 1 << members
     consistent = _down(consistent, n)
     return consistent, [consistent & ~_down(table, n) for table in refuted]
-
-
-def _tables(
-    m: Matrix, gamma: FormulaSet, targets: Sequence[Formula] = ()
-) -> tuple[int, list[int]]:
-    """The consistent table of `gamma` and the entailing table of each target,
-    built one block of valuations at a time."""
-    domain = gamma.letters().union(*[t.letters for t in targets])
-    blocks = (
-        (
-            [_designated(m, _masks(m, g, letter_masks, memo)) for g in gamma],
-            [_designated(m, _masks(m, t, letter_masks, memo)) for t in targets],
-            full,
-        )
-        for _, letter_masks, memo, full in _blocks(m, domain)
-    )
-    return _subset_tables(blocks, len(gamma), len(targets))
 
 
 @cache  # one entry per premise count, a few hundred kB in all up to 16

@@ -445,7 +445,6 @@ def _lemma_instances(rng, m, para_depth: int) -> dict:
 
 
 def test_criterion_9_normality_sampling():
-    budget = AuditBudget(samples=500)
     antecedents: dict[str, int] = {}
     violations = []
     for m in LEMMA_MATRICES:
@@ -455,11 +454,10 @@ def test_criterion_9_normality_sampling():
             if para_depth:
                 expected[PropertyId.CONJUNCTIVE_PROPERTY] = Outcome.FAILS
             for prop, outcome in expected.items():
-                verdict = check_property(spec, prop, budget)
+                verdict = check_property(spec, prop)
                 assert (verdict.outcome, verdict.method) == (outcome, Method.EXACT), (
                     spec.name, prop.value,
                 )
-                assert verdict.samples_run == 0
                 assert replay_claims(m, verdict.witness["claims"])
             rng = random.Random(f"lemma|{spec.name}")
             for _ in range(200):

@@ -96,13 +96,13 @@ class TestInternalError:
     def test_a_raising_cell_exits_4(self, runner, monkeypatch):
         decide = audit.check_property
 
-        def broken(spec, prop, budget):
+        def broken(spec, prop):
             if (prop, spec.name) == (audit.PropertyId.IDEMPOTENCY, "P(G3)"):
                 raise ZeroDivisionError("cell broke")
-            return decide(spec, prop, budget)
+            return decide(spec, prop)
 
         monkeypatch.setattr(audit, "check_property", broken)
-        result = runner.invoke(main, ["audit", "--samples", "5"])
+        result = runner.invoke(main, ["audit"])
         assert result.exit_code == 4
         assert result.output == "error: internal error: ZeroDivisionError: cell broke\n"
 
@@ -117,7 +117,7 @@ class TestInterrupt:
         "args, target",
         [
             (["entails", "--logic", "l3", "p", "q"], "entails"),
-            (["audit", "--samples", "1"], "run_table"),
+            (["audit"], "run_table"),
         ],
         ids=["entails", "audit"],
     )
@@ -167,7 +167,7 @@ class TestInterrupt:
     "args",
     [
         ["matrix", "show", "l3"],
-        ["audit", "--samples", "20"],
+        ["audit"],
         ["classify", "p"],
         ["--help"],  # printed while the arguments are parsed
     ],
@@ -410,28 +410,21 @@ class TestMatrixCommands:
 
 class TestAudit:
     def test_bad_budget_exit_2(self, runner):
-        # sampled formulas are drawn over at most five letters
-        for args in (["--samples", "0"], ["--gamma-size", "0"], ["--letters", "6"]):
-            result = runner.invoke(main, ["audit", *args])
+        # the audit takes no sampling options; naming one is a usage error
+        for option in ("--samples", "--depth", "--letters", "--gamma-size"):
+            result = runner.invoke(main, ["audit", option, "5"])
             assert result.exit_code == 2
-            assert result.output.startswith("error: ")
-            assert result.output.count("\n") == 1
-        result = runner.invoke(main, ["audit", "--letters", "9"])
-        assert result.output == "error: letters must be at most 5\n"
-
-    def test_one_premise_budget_runs(self, runner):
-        result = runner.invoke(main, ["audit", "--gamma-size", "1", "--samples", "20"])
-        assert result.exit_code == 0
-        assert result.output.count("[known]") == 4
+            assert "No such option" in result.output and option in result.output
+        assert runner.invoke(main, ["audit", "--seed", "x"]).exit_code == 2
 
     def test_audit_exit_0_with_known_discrepancies(self, runner):
-        result = runner.invoke(main, ["audit", "--samples", "25"])
+        result = runner.invoke(main, ["audit"])
         assert result.exit_code == 0
         assert result.output.count("[known]") == 4
         assert "UNEXPLAINED" not in result.output
 
     def test_table_text_grid(self, runner):
-        result = runner.invoke(main, ["table", "--samples", "25"])
+        result = runner.invoke(main, ["table"])
         assert result.exit_code == 0
         assert "Summary of results" in result.output
         assert "✓" in result.output
@@ -452,14 +445,19 @@ class TestAudit:
         assert times == sorted(times, reverse=True)
 
     def test_seed0_grid_draws_no_sample(self, runner):
+        # every cell is decided by an argument or a witness
         result = runner.invoke(main, ["audit", "--format", "json", "--seed", "0"])
         assert result.exit_code == 0
         grid = json.loads(result.output)["grid"]
-        assert [cell for cell, v in grid.items() if v["method"] == "SAMPLED"] == []
-        assert all(v["samples_run"] == 0 for v in grid.values())
+        open_cells = [
+            cell
+            for cell, v in grid.items()
+            if v["outcome"] not in ("HOLDS", "FAILS") or v["method"] not in ("EXACT", "WITNESS")
+        ]
+        assert open_cells == []
 
     def test_json_byte_identical(self, runner):
-        args = ["audit", "--format", "json", "--samples", "25", "--seed", "3"]
+        args = ["audit", "--format", "json", "--seed", "3"]
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert first.output == second.output

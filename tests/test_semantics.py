@@ -26,9 +26,8 @@ from paramat.semantics import (
 )
 
 F0, FH, F1 = Fraction(0), Fraction(1, 2), Fraction(1)
-# the small audit budget of tests/test_audit.py and the JSON of its grid
-SMALL = audit.AuditBudget(samples=40, depth=3, letters=3, gamma_size=5, seed=0)
-GOLDEN_SMALL = Path(__file__).parent / "data" / "run_table_small.json"
+# the JSON of the default audit grid
+GOLDEN_AUDIT = Path(__file__).parent / "data" / "audit_seed0.json"
 L3, G3, K3, CL2 = (builtin(n) for n in ("l3", "g3", "k3", "cl2"))
 P, Q = Letter("p"), Letter("q")
 
@@ -372,7 +371,7 @@ def _memo_sizes(m):
 
 def test_memo_bounded_after_the_audit(monkeypatch):
     matrices = _audit_matrices(monkeypatch)
-    audit.run_table(SMALL)
+    audit.run_table()
     assert matrices
     for m in matrices:
         domains, largest = _memo_sizes(m)
@@ -385,12 +384,12 @@ def test_audit_unchanged_when_the_caches_keep_little(monkeypatch):
     matrices = _audit_matrices(monkeypatch)
     monkeypatch.setattr(semantics, "_DOMAINS", 2)
     monkeypatch.setattr(semantics, "_MEMO_SIZE", 3)
-    report = audit.run_table(SMALL)
+    report = audit.run_table()
     for m in matrices:
         domains, largest = _memo_sizes(m)
         assert domains <= 2 and largest <= 3
     text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-    assert text == GOLDEN_SMALL.read_text(encoding="utf-8")
+    assert text == GOLDEN_AUDIT.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("m", ENGINE_MATRICES, ids=lambda m: m.name)
