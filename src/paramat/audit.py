@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Sequence
 
 from .formula import And, Formula, FormulaSet, Imp, Letter, Neg, Or, parse, render
 from .matrix import Matrix, builtin, format_value, has_star_property
-from .para import LogicSpec, is_para_consistent, para_entails
+from .para import LogicSpec, is_para_consistent, logic_entails
 from .semantics import entails, is_consistent
 
 
@@ -267,8 +267,8 @@ def _answer(
         return is_consistent(m, premises)
     if kind == "para_consistent":
         return is_para_consistent(m, premises)
-    relation = entails if kind == "entails" else para_entails
-    return relation(m, premises, read(alpha)).holds
+    depth = 0 if kind == "entails" else 1
+    return logic_entails(LogicSpec(m, depth), premises, read(alpha))
 
 
 class _ReplayScope:
@@ -352,9 +352,7 @@ class _Cell:
 
     def rel(self, gamma: FormulaSet, alpha: Formula) -> bool:
         """The column's consequence relation."""
-        if self.spec.para_depth == 0:
-            return entails(self.spec.matrix, gamma, alpha).holds
-        return para_entails(self.spec.matrix, gamma, alpha).holds
+        return logic_entails(self.spec, gamma, alpha)
 
     def claim(self, gamma: FormulaSet, alpha: Formula, expected: bool) -> dict:
         """A replayable claim about the column's consequence relation."""

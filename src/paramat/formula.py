@@ -122,120 +122,117 @@ def render(f: Formula) -> str:
     return f.text
 
 
-# One match per token: the whitespace before it, and the token.  A character
-# that starts no token matches alone, and `_Parser._error` reports it.
-_TOKEN_RE = re.compile(r"(\s*)(->|→|[~¬|∨&∧()]|[a-z][a-zA-Z0-9_]*|\S)")
+# One match per token; whitespace matches nothing and is skipped.  A character
+# that starts no token matches alone, and `_error` reports it.
+_TOKEN_RE = re.compile(r"->|→|[~¬|∨&∧()]|[a-z][a-zA-Z0-9_]*|\S")
 _ALIASES = {"→": "->", "¬": "~", "∨": "|", "∧": "&"}
 
-# Parsing spends three stack frames per level of parentheses (`imp`, `dis`,
-# `operand`), and `evaluate`, the engine's `_masks` and `repr` one or two per
-# connective, so formulas at most this deep stay well inside Python's default
-# recursion limit of 1000.
+# The parser is a loop and keeps its pending operands on lists, but
+# `evaluate`, the engine's `_masks` and `repr` recurse, one or two stack
+# frames per connective, so formulas at most this deep stay well inside
+# Python's default recursion limit of 1000.
 MAX_DEPTH = 100
+_TOO_DEEP = f"formula nested deeper than {MAX_DEPTH} levels"
 
 
-class _Parser:
-    """Recursive descent over the tokens.  Each rule checks the depth of the
-    nodes it builds, so nothing deeper than MAX_DEPTH is built; only
-    parentheses recurse, and they too stop at MAX_DEPTH."""
+def _error(text: str, tokens: list[str], index: int, message: str) -> ParseError:
+    """`message` at token `index`, unless some character starts no token:
+    that one is reported, wherever it is.  Positions are counted only here,
+    on the way out."""
+    for at, tok in enumerate(tokens[:-1]):
+        if tok not in ("->", "~", "|", "&", "(", ")") and not "a" <= tok < "{":
+            index, message = at, f"unexpected character {tok!r}"
+            break
+    if index == len(tokens) - 1:
+        return ParseError(message, len(text))
+    starts = [match.start() for match in _TOKEN_RE.finditer(text)]
+    return ParseError(message, starts[index])
 
-    def __init__(self, text: str):
-        self.text = text
-        # With trailing whitespace stripped, every match ends on a token, so
-        # the scan never retries from inside a run of whitespace.
-        self.pairs: list[tuple[str, str]] = _TOKEN_RE.findall(text.rstrip())
-        # the "" sentinel ending `kinds` spares lookahead a bounds check
-        self.kinds = [_ALIASES.get(tok, tok) for _, tok in self.pairs]
-        self.kinds.append("")
-        self.index = 0
-        self.open_parens = 0
 
-    def _error(self, message: str) -> ParseError:
-        """`message` at the current token, unless some character starts no
-        token: that one is reported, wherever it is.  Positions are counted
-        only here, on the way out."""
-        for index, kind in enumerate(self.kinds[:-1]):
-            if kind not in ("->", "~", "|", "&", "(", ")") and not "a" <= kind < "{":
-                self.index = index
-                message = f"unexpected character {kind!r}"
-                break
-        if self.index == len(self.pairs):
-            return ParseError(message, len(self.text))
-        before = sum(len(ws) + len(tok) for ws, tok in self.pairs[: self.index])
-        return ParseError(message, before + len(self.pairs[self.index][0]))
-
-    def _too_deep(self) -> ParseError:
-        return self._error(f"formula nested deeper than {MAX_DEPTH} levels")
-
-    def _bounded(self, f: Formula) -> Formula:
-        if f.depth > MAX_DEPTH:
-            raise self._too_deep()
-        return f
-
-    def imp(self) -> Formula:
-        operands = [self.dis()]
-        while self.kinds[self.index] == "->":
-            self.index += 1
-            operands.append(self.dis())
-        f = operands.pop()
-        for left in reversed(operands):  # "->" associates to the right
-            f = self._bounded(Imp(left, f))
-        return f
-
-    def dis(self) -> Formula:
-        """A disjunction of conjunctions; both associate to the left."""
-        kinds = self.kinds
-        f = None
-        while True:
-            g = self.operand()
-            while kinds[self.index] == "&":
-                self.index += 1
-                g = self._bounded(And(g, self.operand()))
-            f = g if f is None else self._bounded(Or(f, g))
-            if kinds[self.index] != "|":
-                return f
-            self.index += 1
-
-    def operand(self) -> Formula:
-        """A letter or a parenthesised formula, under its '~' prefix."""
-        kinds = self.kinds
-        start = self.index
-        while kinds[self.index] == "~":
-            self.index += 1
-        count = self.index - start
-        tok = kinds[self.index]
-        if tok == "(":
-            if self.open_parens == MAX_DEPTH:
-                raise self._too_deep()
-            self.open_parens += 1
-            self.index += 1
-            f = self.imp()
-            if kinds[self.index] != ")":
-                raise self._error("expected ')'")
-            self.open_parens -= 1
-        elif "a" <= tok < "{":  # a letter token starts with a-z
-            f = Letter(tok)
-        else:
-            raise self._error("expected a letter or '('")
-        self.index += 1
-        if f.depth + count > MAX_DEPTH:
-            raise self._too_deep()
-        for _ in range(count):
-            f = Neg(f)
-        return f
+def _check_text(text: object) -> None:
+    if not isinstance(text, str):
+        raise ParseError(f"formula text must be a string, not {type(text).__name__}", 0)
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into an AST.
 
-    Raises ParseError on malformed text and on formulas, or parentheses,
-    nested deeper than MAX_DEPTH.
+    Raises ParseError on text that is not a string or is malformed, and on
+    formulas, or parentheses, nested deeper than MAX_DEPTH.
+
+    One operator-precedence loop: each operand, a letter or a parenthesised
+    formula under its '~' prefix, completes the connectives waiting for it,
+    at once for '&' and '|' (both associate to the left) and for '->' (to
+    the right) when its chain ends.  Every node built is checked against
+    MAX_DEPTH, so nothing deeper is built.
     """
-    parser = _Parser(text)
-    f = parser.imp()
-    if parser.index != len(parser.pairs):
-        raise parser._error(f"unexpected token {parser.kinds[parser.index]!r}")
-    return f
+    _check_text(text)
+    tokens = _TOKEN_RE.findall(text)
+    if not text.isascii():
+        tokens = [_ALIASES.get(tok, tok) for tok in tokens]
+    tokens.append("")  # the sentinel spares lookahead a bounds check
+    seen: dict[str, Letter] = {}  # one Letter per name
+    outer = []  # for each open parenthesis, the state of the level around it
+    # this level's operands waiting on their right operand: the chain of
+    # '->', and the left ones of a '|' and an '&'
+    imps: list[Formula] = []
+    dis = con = None
+    i = 0
+    while True:
+        start = i
+        while tokens[i] == "~":
+            i += 1
+        negs = i - start
+        tok = tokens[i]
+        if tok == "(":
+            if len(outer) == MAX_DEPTH:
+                raise _error(text, tokens, i, _TOO_DEEP)
+            outer.append((negs, imps, dis, con))
+            imps, dis, con = [], None, None
+            i += 1
+            continue
+        if not "a" <= tok < "{":  # a letter token starts with a-z
+            raise _error(text, tokens, i, "expected a letter or '('")
+        f = seen.get(tok)
+        if f is None:
+            f = seen[tok] = Letter(tok)
+        i += 1
+        while True:  # f is an operand under `negs` negations, just read
+            if f.depth + negs > MAX_DEPTH:
+                raise _error(text, tokens, i, _TOO_DEEP)
+            for _ in range(negs):
+                f = Neg(f)
+            if con is not None:
+                f, con = And(con, f), None
+                if f.depth > MAX_DEPTH:
+                    raise _error(text, tokens, i, _TOO_DEEP)
+            tok = tokens[i]
+            if tok == "&":
+                con = f
+                break
+            if dis is not None:
+                f, dis = Or(dis, f), None
+                if f.depth > MAX_DEPTH:
+                    raise _error(text, tokens, i, _TOO_DEEP)
+            if tok == "|":
+                dis = f
+                break
+            if tok == "->":
+                imps.append(f)
+                break
+            while imps:
+                f = Imp(imps.pop(), f)
+                if f.depth > MAX_DEPTH:
+                    raise _error(text, tokens, i, _TOO_DEEP)
+            if not outer:
+                if tok:
+                    raise _error(text, tokens, i, f"unexpected token {tok!r}")
+                return f
+            if tok != ")":
+                raise _error(text, tokens, i, "expected ')'")
+            negs, imps, dis, con = outer.pop()
+            i += 1
+        i += 1  # past the connective
 
 
 def letters(f: Formula) -> frozenset[str]:
@@ -265,6 +262,7 @@ class FormulaSet:
     @classmethod
     def from_text(cls, text: str) -> "FormulaSet":
         """Parse a comma-separated list of formulas; blank text means the empty set."""
+        _check_text(text)
         parts = [part for part in text.split(",") if part.strip()]
         return cls(parse(part) for part in parts)
 

@@ -4,11 +4,10 @@ A family of subsets of the n premises is a *table*, an integer of 2^n bits
 whose bit s stands for the subset with bitset s.  The consistent table is the
 down-closure of the valuations' distinct membership sets {i : v designates
 premise i}; a target's *entailing table* drops from it the subsets inside the
-membership set of some valuation that refutes the target.  A subset entails
-a target at depth 1 when one of its subsets is in the target's entailing
-table, so depth 2 up-closes those tables: the zeta transform of Björklund,
-Husfeldt, Kaski and Koivisto (STOC 2007).  Each closure is n shift-and-mask steps.
-The maximal consistent subsets, those with no consistent one-member extension,
+membership set of some valuation that refutes the target, and the target is
+a transformed consequence exactly when that table is nonempty.  Applying the
+transform twice yields what applying it once does (`logic_entails`).  The
+maximal consistent subsets, those with no consistent one-member extension,
 are set bits of a table that `str.find` locates in its binary string.  The
 witness of `para_entails`, the first entailing subset in canonical order, is
 narrowed out of its table with the tables of each size and of each member.
@@ -101,11 +100,14 @@ def _down(table: int, n: int) -> int:
     return table
 
 
-def _up(table: int, n: int) -> int:
-    """The table closed under taking supersets (the zeta transform)."""
-    for i, has in enumerate(_with_member(n)):
-        table |= (table & ~has) << (1 << i)
-    return table
+def _bounded(gamma: FormulaSet) -> int:
+    """The size of `gamma`, which must not exceed DEFAULT_SUBSET_BOUND."""
+    n = len(gamma)
+    if n > DEFAULT_SUBSET_BOUND:
+        raise SubsetBoundError(
+            f"premise set of size {n} exceeds the bound {DEFAULT_SUBSET_BOUND}"
+        )
+    return n
 
 
 def _tables(
@@ -117,11 +119,7 @@ def _tables(
     into the consistent table, and into a target's refuted table where a
     valuation of theirs refutes the target; both are down-closed at the end.
     """
-    n = len(gamma)
-    if n > DEFAULT_SUBSET_BOUND:
-        raise SubsetBoundError(
-            f"premise set of size {n} exceeds the bound {DEFAULT_SUBSET_BOUND}"
-        )
+    n = _bounded(gamma)
     domain = gamma.letters().union(*[t.letters for t in targets])
     consistent = 0
     refuted = [0] * len(targets)
@@ -229,25 +227,26 @@ def fresh_letter(used: set[str]) -> Formula:
 def is_para_consistent(m: Matrix, gamma: FormulaSet) -> bool:
     """Is the transformed consequence set of `gamma` a proper subset of all formulas?
 
-    Decided by the fresh-letter test: a letter outside `gamma` is a transformed
-    consequence only if some consistent subset entails it, and any model of a
-    consistent subset extends with the fresh letter mapped to a non-designated
-    value.  Exact for finite sets over a proper designated set.
+    Decided by the fresh-letter test: the set is proper exactly when a letter
+    outside `gamma` is not in it.  A consistent subset leaves that letter
+    free, so it entails it exactly when the empty set, itself consistent,
+    does; the empty set is asked instead.  With a proper designated set the
+    answer is always true, but `gamma` is still held to DEFAULT_SUBSET_BOUND.
     """
-    return not para_entails(m, gamma, fresh_letter(gamma.letters())).holds
+    _bounded(gamma)
+    return not para_entails(m, FormulaSet(), fresh_letter(gamma.letters())).holds
 
 
 def logic_entails(spec: LogicSpec, gamma: FormulaSet, alpha: Formula) -> bool:
     """Entailment at the configured transform depth.
 
-    Depth 0 is plain matrix entailment; depth 1 asks for a consistent subset;
-    depth 2 asks for a depth-1-consistent subset that depth-1 entails the
-    conclusion, with depth-1 consistency decided by the fresh-letter test.
+    Depth 0 is plain matrix entailment; depth 1 asks whether some consistent
+    subset entails `alpha`, read from its entailing table without a witness.
+    Depth 2 answers as depth 1: every finite set is consistent under the
+    transform (`is_para_consistent`), so the second transform draws on every
+    subset, and by monotonicity none yields more than the whole set.
     """
     if spec.para_depth == 0:
         return entails(spec.matrix, gamma, alpha).holds
-    if spec.para_depth == 1:
-        return para_entails(spec.matrix, gamma, alpha).holds
-    fresh = fresh_letter(gamma.letters() | alpha.letters)
-    _, (to_alpha, to_fresh) = _tables(spec.matrix, gamma, [alpha, fresh])
-    return _up(to_alpha, len(gamma)) & ~_up(to_fresh, len(gamma)) != 0
+    _, (entailing,) = _tables(spec.matrix, gamma, [alpha])
+    return entailing != 0

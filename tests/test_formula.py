@@ -83,6 +83,21 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: parse(5),
+            lambda: parse(None),
+            lambda: parse(b"p"),
+            lambda: FormulaSet.from_text(5),
+        ],
+        ids=["int", "None", "bytes", "from_text-int"],
+    )
+    def test_non_string_text(self, call):
+        with pytest.raises(ParseError, match="must be a string") as exc:
+            call()
+        assert exc.value.position == 0
+
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:
             parse("p | *")

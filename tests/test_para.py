@@ -229,6 +229,34 @@ class TestLogicEntails:
             )
             assert logic_entails(spec2, gamma, alpha) == expected
 
+    @pytest.mark.parametrize("m", [L3, G3, K3, CL2], ids=lambda m: m.name)
+    def test_transformed_depths_answer_as_para_entails(self, m):
+        rng = random.Random(f"depths/{m.name}")
+        for _ in range(60):
+            gamma = FormulaSet(
+                draw_formula(rng, ["p", "q", "r"], 2) for _ in range(rng.randint(0, 5))
+            )
+            alpha = draw_formula(rng, ["p", "q", "r"], 2)
+            want = para_entails(m, gamma, alpha).holds
+            assert logic_entails(LogicSpec(m, 1), gamma, alpha) == want
+            assert logic_entails(LogicSpec(m, 2), gamma, alpha) == want
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda gamma: is_para_consistent(L3, gamma),
+        lambda gamma: logic_entails(LogicSpec(L3, 2), gamma, P),
+        lambda gamma: maximal_consistent_subsets(L3, gamma),
+    ],
+    ids=["is_para_consistent", "logic_entails_2", "maximal_consistent_subsets"],
+)
+def test_seventeen_premises_exceed_the_bound(query):
+    big = FormulaSet(Letter(f"x{i}") for i in range(17))
+    with pytest.raises(SubsetBoundError) as exc:
+        query(big)
+    assert str(exc.value) == "premise set of size 17 exceeds the bound 16"
+
 
 # ---------------------------------------------------------------------------
 # Oracle cross-checks
@@ -324,14 +352,10 @@ def test_oracle_agreement_hypothesis(m, gamma_list, alpha, block):
 
 @given(st.integers(0, 6), st.integers(0, 2**64 - 1))
 def test_closures_match_their_definitions(n, table):
-    # depth 2 alone cannot check `_up`: its fresh-letter table is empty for
-    # every matrix with a non-designated value
     table %= 1 << (1 << n)
     given_sets = [s for s in range(1 << n) if table >> s & 1]
     below = [s for s in range(1 << n) if any(s & t == s for t in given_sets)]
-    above = [s for s in range(1 << n) if any(s & t == t for t in given_sets)]
     assert para._down(table, n) == sum(1 << s for s in below)
-    assert para._up(table, n) == sum(1 << s for s in above)
 
 
 def _timed(query):
